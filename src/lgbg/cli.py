@@ -26,7 +26,7 @@ from .metrics import average_reports
 from .model import Model
 from .streams import Vocabulary, day_span, parse_event_log, slice_day
 from .synth import ScenarioSpec, generate
-from .training import evaluate, run_protocol, split_protocol, train
+from .training import ProtocolResult, evaluate, run_protocol, split_protocol, train
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -60,11 +60,20 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
 
 
+def _env_seed(default: int) -> int:
+    """LGBG_SEED when it is set, else `default`."""
+    text = os.environ.get("LGBG_SEED")
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"LGBG_SEED must be an integer, got {text!r}") from None
+
+
 def _effective_config(args) -> TrainConfig:
     base = TrainConfig()
-    env_seed = os.environ.get("LGBG_SEED")
-    if env_seed is not None:
-        base = base.replace(seed=int(env_seed))
+    base = base.replace(seed=_env_seed(base.seed))
     if getattr(args, "config", None):
         base = load_config(args.config, base)
     overrides = {}
@@ -141,18 +150,14 @@ def cmd_eval(args) -> int:
         tasks = split_protocol(len(samples), config.splits, config.seed)
         reports = [evaluate(model, [samples[j] for j in test], task=f"task-{i + 1}")
                    for i, (_, test) in enumerate(tasks)]
-        result_reports = reports + [average_reports(reports)]
-        csv = "task,n,accuracy,precision,recall,f1\n" + "\n".join(
-            "{task},{n},{accuracy!r},{precision!r},{recall!r},{f1!r}".format(**r.row())
-            for r in result_reports) + "\n"
-        rows = [r.row() | {"confusion": r.confusion} for r in result_reports]
+        protocol = ProtocolResult(reports, average_reports(reports))
     else:
         table = _table_for(args, data.vocab, config)
         samples = data.samples(config.span, table)
         protocol = run_protocol(samples, config, table, data.vocab.digest())
-        csv = protocol.metrics_csv()
-        rows = [r.row() | {"confusion": r.confusion}
-                for r in protocol.reports + [protocol.average]]
+    csv = protocol.metrics_csv()
+    rows = [r.row() | {"confusion": r.confusion}
+            for r in protocol.reports + [protocol.average]]
     (out / "metrics.csv").write_text(csv, encoding="utf-8")
     (out / "metrics.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n",
                                       encoding="utf-8")
@@ -218,7 +223,8 @@ def _gradcheck_setup(seed: int):
 
 
 def cmd_gradcheck(args) -> int:
-    model, loss_fn = _gradcheck_setup(args.seed)
+    seed = _env_seed(0) if args.seed is None else args.seed
+    model, loss_fn = _gradcheck_setup(seed)
     named = model.named_parameters()
     corrupt_target = next(iter(named.values())) if args.corrupt else None
 
@@ -231,7 +237,7 @@ def cmd_gradcheck(args) -> int:
         return loss
 
     errors = ag.finite_diff_errors(f, list(named.values()), eps=1e-5,
-                                   coords_per_param=4, seed=args.seed)
+                                   coords_per_param=4, seed=seed)
     worst = 0.0
     for name, err in zip(named, errors):
         print(f"{name:40s} {err:.3e}")
@@ -282,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_inspect)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("LGBG_SEED", "0")))
+    p.add_argument("--seed", type=int, default=None,
+                   help="default: LGBG_SEED, else 0")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(run=cmd_gradcheck)
     return parser

@@ -9,11 +9,17 @@ edge weights normalized over each node's incoming edges, separately for the
 same-stream and cross-stream kinds. A pointwise tanh follows each layer
 unless `linear_layers` is set. Graph readout combines a node-attention pool
 (semantic) with an edge-attention pool queried by it (structural).
+
+The node order, edge indices and adjacencies come from the graph's own
+`arrays` (see `graphs.GraphArrays`), which this module only reads. Each
+forward gathers the initial states from the embedding table it is given and
+applies the ablation flags itself: a disabled kind loses its adjacency and
+its edges, for aggregation, edge embedding and structural pooling alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +28,10 @@ from .autograd import Tensor
 from .config import TrainConfig
 from .embeddings import EmbeddingTable
 from .errors import DimensionError
-from .graphs import HETEROGENEOUS, HOMOGENEOUS, LocalContextGraph
+from .graphs import HETEROGENEOUS, HOMOGENEOUS, GraphArrays, LocalContextGraph
 from .streams import STREAMS
+
+_WEIGHT = {HOMOGENEOUS: "homo", HETEROGENEOUS: "het"}  # each kind's weight in a layer
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -66,137 +74,45 @@ class GnnParams:
         return out
 
 
-@dataclass
-class CompiledGraph:
-    """Constant structure of one graph, precomputed for fast forward passes."""
-
-    n: int
-    node_keys: list[tuple[str, str]]
-    blocks: list[tuple[str, int, int]]          # contiguous stream row ranges
-    homo_adj: np.ndarray | None                 # row i = normalized incoming
-    het_adj: np.ndarray | None
-    src_idx: np.ndarray                         # retained directed edges
-    dst_idx: np.ndarray
-    edge_keys: list[tuple[str, str, str, str, str]]  # (s_src, c_src, s_dst, c_dst, kind)
-    homo_blocks: tuple[bool, ...] = ()          # block has incoming homo edges
-    het_blocks: tuple[bool, ...] = ()
-
-    def __post_init__(self):
-        if not self.homo_blocks:
-            self.homo_blocks = tuple(
-                self.homo_adj is not None and bool(np.any(self.homo_adj[lo:hi]))
-                for _, lo, hi in self.blocks)
-        if not self.het_blocks:
-            self.het_blocks = tuple(
-                self.het_adj is not None and bool(np.any(self.het_adj[lo:hi]))
-                for _, lo, hi in self.blocks)
-
-
-def compile_graph(graph: LocalContextGraph, use_homogeneous: bool = True,
-                  use_heterogeneous: bool = True) -> CompiledGraph:
-    """Canonicalize node order and precompute adjacency/edge index arrays.
-
-    Disabling a kind removes those edges from the whole forward pass
-    (aggregation, edge embedding and structural pooling), which is what the
-    mechanism ablations mean by switching a message passing kind off.
-    """
-    order = sorted(range(len(graph.nodes)),
-                   key=lambda i: (graph.nodes[i].stream, graph.nodes[i].concept))
-    remap = {old: new for new, old in enumerate(order)}
-    nodes = [graph.nodes[i] for i in order]
-    n = len(nodes)
-    node_keys = [(nd.stream, nd.concept) for nd in nodes]
-
-    blocks = []
-    lo = 0
-    while lo < n:
-        hi = lo
-        while hi < n and nodes[hi].stream == nodes[lo].stream:
-            hi += 1
-        blocks.append((nodes[lo].stream, lo, hi))
-        lo = hi
-
-    kept = [e for e in sorted(graph.edges, key=lambda e: (remap[e.src], remap[e.dst]))
-            if (e.kind == HOMOGENEOUS and use_homogeneous)
-            or (e.kind == HETEROGENEOUS and use_heterogeneous)]
-
-    def adjacency(kind: str) -> np.ndarray | None:
-        sel = [e for e in kept if e.kind == kind]
-        if not sel:
-            return None
-        w = np.zeros((n, n))
-        for e in sel:
-            w[remap[e.dst], remap[e.src]] += e.weight
-        totals = w.sum(axis=1, keepdims=True)
-        np.divide(w, totals, out=w, where=totals > 0)
-        return w
-
-    src = np.array([remap[e.src] for e in kept], dtype=np.intp)
-    dst = np.array([remap[e.dst] for e in kept], dtype=np.intp)
-    edge_keys = [node_keys[s] + node_keys[t] + (e.kind,)
-                 for s, t, e in zip(src, dst, kept)]
-    return CompiledGraph(n=n, node_keys=node_keys, blocks=blocks,
-                         homo_adj=adjacency(HOMOGENEOUS),
-                         het_adj=adjacency(HETEROGENEOUS),
-                         src_idx=src, dst_idx=dst, edge_keys=edge_keys)
-
-
-def compiled_for(graph: LocalContextGraph, config: TrainConfig) -> CompiledGraph:
-    """Per-graph cache of compile_graph keyed by the ablation flags."""
-    key = (config.use_homogeneous, config.use_heterogeneous)
-    cache = getattr(graph, "_compiled", None)
-    if cache is None:
-        cache = {}
-        graph._compiled = cache
-    if key not in cache:
-        cache[key] = compile_graph(graph, *key)
-    return cache[key]
-
-
-def apply_attributes(graph: LocalContextGraph, table: EmbeddingTable) -> Tensor:
-    """Initial states: each concept embedding scaled by its fraction-of-day,
-    rows in canonical (stream, concept) order.
+def initial_states(arrays: GraphArrays, table: EmbeddingTable) -> Tensor:
+    """Each concept embedding scaled by its fraction-of-day, one row per node.
 
     Embeddings and attributes are fixed inputs, so the result is a constant
-    with respect to every trainable tensor.
+    with respect to every trainable tensor. Rows are gathered by the
+    embedding indices the graph was built with, so `table` must order its
+    concepts as that table did; every table of one vocabulary does.
     """
-    nodes = sorted(graph.nodes, key=lambda nd: (nd.stream, nd.concept))
-    vectors = np.stack([table.vector(nd.concept) for nd in nodes])
-    scale = np.array([nd.attribute for nd in nodes])[:, None] / 24.0
-    return ag.constant(vectors * scale)
+    return ag.constant(table.vectors[arrays.embedding_index] * arrays.day_fraction)
 
 
-def message_passing_layer(states: Tensor, compiled: CompiledGraph,
+def message_passing_layer(states: Tensor, arrays: GraphArrays,
                           layer: dict[str, dict[str, Tensor]],
                           nonlinear: bool = True) -> Tensor:
     """One simultaneous update of all node states (Tensor of shape n x d)."""
-    if states.data.shape[0] != compiled.n:
+    if states.data.shape[0] != arrays.n:
         raise DimensionError("states row count differs from node count")
-    homo_mix = ag.const_matmul(compiled.homo_adj, states) \
-        if compiled.homo_adj is not None else None
-    het_mix = ag.const_matmul(compiled.het_adj, states) \
-        if compiled.het_adj is not None else None
+    mixes = {kind: ag.const_matmul(adj, states)
+             for kind, adj in arrays.adjacency.items()}
 
     parts = []
-    for b, (stream, lo, hi) in enumerate(compiled.blocks):
+    for b, (stream, lo, hi) in enumerate(arrays.blocks):
         w = layer[stream]
         new = ag.matmul_t(ag.rows(states, lo, hi), w["self"])
-        if compiled.homo_blocks[b]:
-            new = ag.add(new, ag.matmul_t(ag.rows(homo_mix, lo, hi), w["homo"]))
-        if compiled.het_blocks[b]:
-            new = ag.add(new, ag.matmul_t(ag.rows(het_mix, lo, hi), w["het"]))
+        for kind, mix in mixes.items():
+            if arrays.has_incoming[kind][b]:
+                new = ag.add(new, ag.matmul_t(ag.rows(mix, lo, hi), w[_WEIGHT[kind]]))
         parts.append(new)
     out = parts[0] if len(parts) == 1 else ag.concat(parts, axis=0)
     return ag.tanh(out) if nonlinear else out
 
 
-def edge_embeddings(states: Tensor, compiled: CompiledGraph,
+def edge_embeddings(states: Tensor, arrays: GraphArrays,
                     edge_proj: Tensor) -> Tensor | None:
-    """e_ij = W_e [x_src ; x_dst] for every retained directed edge."""
-    if compiled.src_idx.size == 0:
+    """e_ij = W_e [x_src ; x_dst] for every directed edge."""
+    if arrays.src_idx.size == 0:
         return None
-    pairs = ag.concat([ag.gather_rows(states, compiled.src_idx),
-                       ag.gather_rows(states, compiled.dst_idx)], axis=1)
+    pairs = ag.concat([ag.gather_rows(states, arrays.src_idx),
+                       ag.gather_rows(states, arrays.dst_idx)], axis=1)
     return ag.matmul_t(pairs, edge_proj)
 
 
@@ -243,17 +159,23 @@ def local_graph_forward(graph: LocalContextGraph, table: EmbeddingTable,
         return LocalGraphRep(rep=params.empty_day, g=None, g_s=None, g_e=None,
                              node_states=None, node_keys=[], edge_keys=[],
                              node_attention=None, edge_attention=None, empty=True)
-    compiled = compiled_for(graph, config)
-    cache = getattr(graph, "_states0", None)
-    if cache is None or cache[0] is not table:
-        graph._states0 = cache = (table, apply_attributes(graph, table).data)
-    states = ag.constant(cache[1])
+    arrays = graph.arrays
+    off = [kind for kind, on in ((HOMOGENEOUS, config.use_homogeneous),
+                                 (HETEROGENEOUS, config.use_heterogeneous)) if not on]
+    if off:
+        keep = ~np.isin(arrays.edge_kind, off)
+        arrays = replace(
+            arrays, src_idx=arrays.src_idx[keep], dst_idx=arrays.dst_idx[keep],
+            edge_kind=arrays.edge_kind[keep],
+            edge_keys=[k for k, kept in zip(arrays.edge_keys, keep) if kept],
+            adjacency={k: w for k, w in arrays.adjacency.items() if k not in off})
+    states = initial_states(arrays, table)
     for layer in params.layers:
-        states = message_passing_layer(states, compiled, layer,
+        states = message_passing_layer(states, arrays, layer,
                                        nonlinear=not config.linear_layers)
 
     g_s, node_att = semantic_pool(states, params.node_query)
-    edge_vecs = edge_embeddings(states, compiled, params.edge_proj)
+    edge_vecs = edge_embeddings(states, arrays, params.edge_proj)
     if edge_vecs is None:
         g_e = ag.constant(np.zeros(config.de))
         edge_att = None
@@ -262,5 +184,5 @@ def local_graph_forward(graph: LocalContextGraph, table: EmbeddingTable,
     g = ag.concat([g_e, g_s])
     rep = ag.matmul(params.rep_proj, g)
     return LocalGraphRep(rep=rep, g=g, g_s=g_s, g_e=g_e, node_states=states,
-                         node_keys=compiled.node_keys, edge_keys=compiled.edge_keys,
+                         node_keys=arrays.node_keys, edge_keys=arrays.edge_keys,
                          node_attention=node_att, edge_attention=edge_att)

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ValidationError
-from .streams import STREAMS, ConceptEvent, DayWindow, Vocabulary, slice_day
+from .streams import (STREAMS, ConceptEvent, DayWindow, Vocabulary, slice_day,
+                      sort_events)
 
 HOMOGENEOUS = "homogeneous"
 HETEROGENEOUS = "heterogeneous"
@@ -28,7 +32,7 @@ class GraphNode:
     stream: str
     concept: str
     attribute: float  # hours of the concept within the day, > 0
-    embedding_index: int
+    embedding_index: int  # row of the concept in the embedding table
 
 
 @dataclass(frozen=True)
@@ -39,8 +43,33 @@ class GraphEdge:
     weight: int
 
 
+@dataclass(frozen=True)
+class GraphArrays:
+    """Index form of one day graph, rows in canonical (stream, concept) order.
+
+    Edges are ordered by (src, dst) row. Each adjacency is keyed by edge kind
+    and present only for kinds the graph has; row i holds node i's incoming
+    weights of that kind, normalized to sum to one.
+    """
+
+    n: int
+    node_keys: list[tuple[str, str]]
+    embedding_index: np.ndarray                 # table row per node
+    day_fraction: np.ndarray                    # n x 1: attribute / 24
+    blocks: list[tuple[str, int, int]]          # contiguous stream row ranges
+    src_idx: np.ndarray
+    dst_idx: np.ndarray
+    edge_kind: np.ndarray
+    edge_keys: list[tuple[str, str, str, str, str]]  # (s_src, c_src, s_dst, c_dst, kind)
+    adjacency: dict[str, np.ndarray]
+    has_incoming: dict[str, tuple[bool, ...]]   # kind -> per block
+
+
 @dataclass
 class LocalContextGraph:
+    """One day's graph. `arrays` is computed on first use, so nodes and edges
+    must not change after the graph is first read by a forward pass."""
+
     day_index: int
     nodes: list[GraphNode] = field(default_factory=list)
     edges: list[GraphEdge] = field(default_factory=list)
@@ -48,8 +77,51 @@ class LocalContextGraph:
     def is_empty(self) -> bool:
         return not self.nodes
 
-    def node_index(self) -> dict[tuple[str, str], int]:
-        return {(n.stream, n.concept): i for i, n in enumerate(self.nodes)}
+    @cached_property
+    def arrays(self) -> GraphArrays:
+        """The graph's index form, built on first use and then kept."""
+        order = sorted(range(len(self.nodes)),
+                       key=lambda i: (self.nodes[i].stream, self.nodes[i].concept))
+        remap = {old: new for new, old in enumerate(order)}
+        nodes = [self.nodes[i] for i in order]
+        n = len(nodes)
+        node_keys = [(nd.stream, nd.concept) for nd in nodes]
+
+        blocks = []
+        lo = 0
+        while lo < n:
+            hi = lo
+            while hi < n and nodes[hi].stream == nodes[lo].stream:
+                hi += 1
+            blocks.append((nodes[lo].stream, lo, hi))
+            lo = hi
+
+        edges = sorted(self.edges, key=lambda e: (remap[e.src], remap[e.dst]))
+        src = np.array([remap[e.src] for e in edges], dtype=np.intp)
+        dst = np.array([remap[e.dst] for e in edges], dtype=np.intp)
+        adjacency = {}
+        for kind in (HOMOGENEOUS, HETEROGENEOUS):
+            sel = [e for e in edges if e.kind == kind]
+            if not sel:
+                continue
+            w = np.zeros((n, n))
+            for e in sel:
+                w[remap[e.dst], remap[e.src]] += e.weight
+            totals = w.sum(axis=1, keepdims=True)
+            np.divide(w, totals, out=w, where=totals > 0)
+            adjacency[kind] = w
+        return GraphArrays(
+            n=n, node_keys=node_keys,
+            embedding_index=np.array([nd.embedding_index for nd in nodes],
+                                     dtype=np.intp),
+            day_fraction=np.array([nd.attribute for nd in nodes])[:, None] / 24.0,
+            blocks=blocks, src_idx=src, dst_idx=dst,
+            edge_kind=np.array([e.kind for e in edges], dtype=str),
+            edge_keys=[node_keys[s] + node_keys[t] + (e.kind,)
+                       for s, t, e in zip(src, dst, edges)],
+            adjacency=adjacency,
+            has_incoming={kind: tuple(bool(np.any(w[lo:hi])) for _, lo, hi in blocks)
+                          for kind, w in adjacency.items()})
 
     def to_dict(self) -> dict:
         return {
@@ -81,14 +153,10 @@ class GlobalSample:
             raise ValidationError(f"label {self.label} outside 0..{PAM_CLASSES - 1}")
 
 
-def _ordered(events: list[ConceptEvent]) -> list[ConceptEvent]:
-    return sorted(events, key=lambda e: (e.start, e.end, e.concept))
-
-
 def homogeneous_edges(events: list[ConceptEvent]) -> dict[tuple[str, str], int]:
     """Directed transition counts between consecutive distinct concepts."""
     counts: dict[tuple[str, str], int] = {}
-    ordered = _ordered(events)
+    ordered = sort_events(events)
     for prev, nxt in zip(ordered, ordered[1:]):
         if prev.concept == nxt.concept:
             continue
@@ -112,7 +180,7 @@ def heterogeneous_edges(events_a: list[ConceptEvent],
     # touching intervals never look active together.
     boundaries = []
     for side, events in ((0, events_a), (1, events_b)):
-        for e in _ordered(events):
+        for e in sort_events(events):
             boundaries.append((e.start, 1, side, e))
             boundaries.append((e.end, 0, side, e))
     boundaries.sort(key=lambda b: (b[0], b[1], b[2], b[3].concept))

@@ -145,7 +145,7 @@ class ParsedLog:
         return sum(len(v) for v in self.streams.values())
 
 
-def _sort_events(events: list[ConceptEvent]) -> list[ConceptEvent]:
+def sort_events(events: list[ConceptEvent]) -> list[ConceptEvent]:
     return sorted(events, key=lambda e: (e.start, e.end, e.concept))
 
 
@@ -206,7 +206,7 @@ def parse_event_log(path, vocab: Vocabulary) -> ParsedLog:
                 ConceptEvent(start=rec["start"], end=rec["end"],
                              stream=stream, concept=concept))
     for s in STREAMS:
-        streams[s] = _sort_events(streams[s])
+        streams[s] = sort_events(streams[s])
     return ParsedLog(streams=streams, remapped_locations=remapped, deduplicated=deduped)
 
 
@@ -214,7 +214,7 @@ def write_event_log(path, streams: dict[str, list[ConceptEvent]]) -> None:
     """Serialize per-stream events in canonical order; inverse of parsing."""
     lines = [json.dumps({"format": FORMAT_VERSION})]
     for s in STREAMS:
-        for e in _sort_events(streams.get(s, [])):
+        for e in sort_events(streams.get(s, [])):
             lines.append(json.dumps(
                 {"stream": e.stream, "concept": e.concept, "start": e.start, "end": e.end},
                 sort_keys=True))
@@ -254,7 +254,7 @@ def slice_day(streams: dict[str, list[ConceptEvent]], day_index: int,
             if start < end:
                 clipped.append(ConceptEvent(start=start, end=end,
                                             stream=e.stream, concept=e.concept))
-        window[s] = _sort_events(clipped)
+        window[s] = sort_events(clipped)
     return DayWindow(day_index=day_index, day_start=lo, day_end=hi, streams=window)
 
 

@@ -17,7 +17,7 @@ from .graphs import GlobalSample, build_samples
 from .metrics import (EvalReport, GradeReport, average_reports,
                       classification_report, grade_report, knn_regress_loo)
 from .model import Model, SampleOutput
-from .streams import Vocabulary, behavior_feature, day_span, slice_day
+from .streams import FEATURE_DIM, Vocabulary, behavior_feature, day_span, slice_day
 
 PROB_FLOOR = 1e-12
 
@@ -258,8 +258,7 @@ def grade_regression(model: Model, cohort: list[tuple[str, dict, float]],
                                 subject=subject, day_origin=config.day_origin)
         reps = np.stack([model.representation(s) for s in windows])
         graph_feats.append(reps.mean(axis=0))
-        hand = np.zeros(behavior_feature(slice_day(streams, 0, config.day_origin),
-                                         vocab).shape)
+        hand = np.zeros(FEATURE_DIM)
         for d in range(n_days):
             hand += behavior_feature(slice_day(streams, d, config.day_origin), vocab)
         hand_feats.append(hand)

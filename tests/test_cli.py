@@ -152,6 +152,16 @@ def test_env_seed_default(tmp_path, synth_dir, monkeypatch):
     assert json.loads((out / "config.json").read_text())["seed"] == 77
 
 
+def test_env_seed_not_an_integer_exit_2(tmp_path, synth_dir, monkeypatch, capsys):
+    monkeypatch.setenv("LGBG_SEED", "abc")
+    assert main(["eval", "--data", str(synth_dir), "--out", str(tmp_path / "e")]
+                + FAST) == 2
+    assert main(["gradcheck"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("LGBG_SEED") == 2
+    assert "Traceback" not in err
+
+
 def test_train_with_embedding_file(tmp_path, synth_dir):
     emb = tmp_path / "emb.txt"
     rng = np.random.default_rng(0)

@@ -5,9 +5,9 @@ import numpy as np
 
 from lgbg import autograd as ag
 from lgbg.config import TrainConfig
-from lgbg.gnn import (GnnParams, apply_attributes, compile_graph, edge_embeddings,
-                      local_graph_forward, message_passing_layer, semantic_pool,
-                      structural_pool)
+from lgbg.embeddings import EmbeddingTable
+from lgbg.gnn import (GnnParams, edge_embeddings, initial_states, local_graph_forward,
+                      message_passing_layer, semantic_pool, structural_pool)
 from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GraphEdge, LocalContextGraph,
                          build_local_graph)
 from lgbg.streams import ACTIVITY, AUDIO, LOCATION, slice_day
@@ -63,13 +63,13 @@ def dense_layer_oracle(states, graph, layer, nonlinear):
 def test_attribute_scaling_identity_at_full_day(vocab, small_table):
     streams = {ACTIVITY: [ev(ACTIVITY, "running", 0, 86400)]}
     graph = build_local_graph(slice_day(streams, 0), vocab, small_table)
-    states = apply_attributes(graph, small_table)
+    states = initial_states(graph.arrays, small_table)
     assert np.allclose(states.data[0], small_table.vector("running"), atol=1e-15)
 
 
 def test_attribute_scaling_ratio(vocab, small_table):
     graph = mixed_graph(vocab, small_table)
-    states = apply_attributes(graph, small_table)
+    states = initial_states(graph.arrays, small_table)
     nodes = sorted(graph.nodes, key=lambda n: (n.stream, n.concept))
     for row, node in zip(states.data, nodes):
         ratio = row / small_table.vector(node.concept)
@@ -88,8 +88,8 @@ def test_isolated_node_gets_self_term_only(vocab, small_table, small_config):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 7200)]}
     graph = build_local_graph(slice_day(streams, 0), vocab, small_table)
     params = make_params(small_config)
-    states = apply_attributes(graph, small_table)
-    compiled = compile_graph(graph)
+    states = initial_states(graph.arrays, small_table)
+    compiled = graph.arrays
     out = message_passing_layer(states, compiled, params.layers[0], nonlinear=False)
     expected = params.layers[0][ACTIVITY]["self"].data @ states.data[0]
     assert np.allclose(out.data[0], expected, atol=1e-12)
@@ -106,8 +106,8 @@ def test_single_edge_alpha_is_one_regardless_of_weight(vocab, small_table, small
         graph.nodes = base.nodes
         graph.edges = [GraphEdge(src=e.src, dst=e.dst, kind=e.kind, weight=weight)
                        for e in base.edges]
-        states = apply_attributes(graph, small_table)
-        out = message_passing_layer(states, compile_graph(graph),
+        states = initial_states(graph.arrays, small_table)
+        out = message_passing_layer(states, graph.arrays,
                                     params.layers[0], nonlinear=False)
         results.append(out.data.copy())
     assert np.array_equal(results[0], results[1])
@@ -116,8 +116,8 @@ def test_single_edge_alpha_is_one_regardless_of_weight(vocab, small_table, small
 def test_message_passing_matches_dense_oracle(vocab, small_table, small_config):
     graph = mixed_graph(vocab, small_table)
     params = make_params(small_config, seed=5)
-    states = apply_attributes(graph, small_table)
-    compiled = compile_graph(graph)
+    states = initial_states(graph.arrays, small_table)
+    compiled = graph.arrays
     for nonlinear in (False, True):
         got = message_passing_layer(states, compiled, params.layers[0], nonlinear)
         want = dense_layer_oracle(states.data, graph, params.layers[0], nonlinear)
@@ -127,8 +127,8 @@ def test_message_passing_matches_dense_oracle(vocab, small_table, small_config):
 def test_two_layers_match_dense_oracle(vocab, small_table, small_config):
     graph = mixed_graph(vocab, small_table)
     params = make_params(small_config, seed=6)
-    states = apply_attributes(graph, small_table)
-    compiled = compile_graph(graph)
+    states = initial_states(graph.arrays, small_table)
+    compiled = graph.arrays
     got = states
     want = states.data.copy()
     for layer in params.layers:
@@ -143,17 +143,17 @@ def test_two_layers_match_dense_oracle(vocab, small_table, small_config):
 
 def test_edge_projection_picks_first_half(vocab, small_table, small_config):
     graph = mixed_graph(vocab, small_table)
-    compiled = compile_graph(graph)
+    compiled = graph.arrays
     d = small_config.d
     w = ag.constant(np.hstack([np.eye(d), np.zeros((d, d))]))
-    states = apply_attributes(graph, small_table)
+    states = initial_states(graph.arrays, small_table)
     vecs = edge_embeddings(states, compiled, w)
     assert np.allclose(vecs.data, states.data[compiled.src_idx], atol=1e-15)
 
 
 def test_zero_states_zero_edges(vocab, small_table, small_config):
     graph = mixed_graph(vocab, small_table)
-    compiled = compile_graph(graph)
+    compiled = graph.arrays
     params = make_params(small_config)
     states = ag.constant(np.zeros((compiled.n, small_config.d)))
     vecs = edge_embeddings(states, compiled, params.edge_proj)
@@ -162,9 +162,9 @@ def test_zero_states_zero_edges(vocab, small_table, small_config):
 
 def test_edge_embeddings_are_direction_sensitive(vocab, small_table, small_config):
     graph = mixed_graph(vocab, small_table)
-    compiled = compile_graph(graph)
+    compiled = graph.arrays
     params = make_params(small_config, seed=9)
-    states = apply_attributes(graph, small_table)
+    states = initial_states(graph.arrays, small_table)
     vecs = edge_embeddings(states, compiled, params.edge_proj)
     pairs = {(int(s), int(t)): v for s, t, v in
              zip(compiled.src_idx, compiled.dst_idx, vecs.data)}
@@ -239,7 +239,7 @@ def test_zero_layers_pools_raw_scaled_embeddings(vocab, small_table):
     graph = mixed_graph(vocab, small_table)
     params = make_params(config, seed=4)
     rep = local_graph_forward(graph, small_table, params, config)
-    states = apply_attributes(graph, small_table)
+    states = initial_states(graph.arrays, small_table)
     g_s, _ = semantic_pool(states, params.node_query)
     assert np.allclose(rep.g_s.data, g_s.data, atol=1e-15)
 
@@ -290,6 +290,37 @@ def test_edge_weight_common_scaling_invariance(vocab, small_table, small_config)
                for e in graph.edges])
     rep2 = local_graph_forward(scaled, small_table, params, small_config)
     assert np.array_equal(rep1.rep.data, rep2.rep.data)
+
+
+def test_one_graph_under_each_ablation_matches_fresh_graph(vocab, small_table,
+                                                          small_config):
+    params = make_params(small_config, seed=8)
+    graph = mixed_graph(vocab, small_table)
+    configs = [small_config.replace(use_homogeneous=False),
+               small_config.replace(use_heterogeneous=False),
+               small_config.replace(use_homogeneous=False, use_heterogeneous=False),
+               small_config]
+    for config in configs:
+        got = local_graph_forward(graph, small_table, params, config)
+        want = local_graph_forward(mixed_graph(vocab, small_table), small_table,
+                                   params, config)
+        assert np.array_equal(got.rep.data, want.rep.data)
+        assert got.edge_keys == want.edge_keys
+        assert np.array_equal(got.edge_attention, want.edge_attention)
+
+
+def test_one_graph_with_two_tables_uses_each_table(vocab, small_table, small_config):
+    other = EmbeddingTable.fallback(vocab, small_config.d, small_config.seed + 1)
+    params = make_params(small_config, seed=8)
+    graph = mixed_graph(vocab, small_table)
+    for table in (small_table, other, small_table):
+        got = local_graph_forward(graph, table, params, small_config)
+        want = local_graph_forward(mixed_graph(vocab, table), table, params,
+                                   small_config)
+        assert np.array_equal(got.rep.data, want.rep.data)
+    assert not np.array_equal(
+        local_graph_forward(graph, other, params, small_config).rep.data,
+        local_graph_forward(graph, small_table, params, small_config).rep.data)
 
 
 def test_attention_weights_sum_to_one(vocab, small_table, small_config):
