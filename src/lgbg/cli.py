@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Exit codes: 0 success, 1 internal/numeric failure, 2 input validation
-failure. The LGBG_SEED environment variable overrides the default seed;
-explicit flags win over config-file values which win over the environment.
+failure, which every malformed input file is (see `lgbg.schema`). The
+LGBG_SEED environment variable overrides the default seed; explicit flags
+win over config-file values which win over the environment.
 Commands only write under their --out target.
 """
 
@@ -24,7 +25,7 @@ from .errors import DimensionError, LgbgError, NumericError, ValidationError
 from .graphs import build_local_graph, dump_graph
 from .metrics import average_reports
 from .model import Model
-from .streams import Vocabulary, day_span, parse_event_log, slice_day
+from .streams import Vocabulary, before_origin, day_span, parse_event_log, slice_day
 from .synth import ScenarioSpec, generate
 from .training import ProtocolResult, evaluate, run_protocol, split_protocol, train
 
@@ -109,7 +110,8 @@ def cmd_build_graph(args) -> int:
              for d in range(config.span - 1, days)]
     index = {"format": 1, "days": days, "span": config.span, "samples": spans,
              "remapped_locations": parsed.remapped_locations,
-             "deduplicated": parsed.deduplicated}
+             "deduplicated": parsed.deduplicated,
+             "before_origin": before_origin(parsed.streams, config.day_origin)}
     (out / "graphs.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n",
                                      encoding="utf-8")
     return 0

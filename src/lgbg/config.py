@@ -3,15 +3,19 @@
 Config files are flat JSON objects whose keys mirror the CLI flags
 one-to-one (dashes and underscores are interchangeable); flag values win
 over file values, and the effective config is echoed into every output.
+Files are read, and every value is checked against its field's type, by
+`lgbg.schema`: an unknown key is a `ValidationError`, a value of the wrong
+type (a bool for a number, `NaN`, a string) a `ParseError`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
+from .schema import build, read_json
 
 
 @dataclass
@@ -49,6 +53,8 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be positive")
         if self.layers < 0:
             raise ValidationError("layers must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -68,29 +74,15 @@ def _normalize_key(key: str) -> str:
 
 
 def config_from_dict(values: dict, base: TrainConfig | None = None) -> TrainConfig:
-    known = {f.name for f in fields(TrainConfig)}
-    merged = (base or TrainConfig()).to_dict()
-    for key, value in values.items():
-        name = _normalize_key(key)
-        if name == "format":
-            continue
-        if name not in known:
-            raise ValidationError(f"unknown config key {key!r}")
-        merged[name] = value
-    return TrainConfig(**merged)
+    """`base` (default: the defaults) with `values` laid over it; a `format`
+    key is ignored."""
+    renamed = {_normalize_key(key): value for key, value in values.items()}
+    renamed.pop("format", None)
+    return build(TrainConfig, (base or TrainConfig()).to_dict() | renamed, "config")
 
 
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"config file is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ParseError("config file must hold a JSON object")
-    return config_from_dict(doc, base)
+    return config_from_dict(read_json(path, "config file"), base)
 
 
 def save_config(config: TrainConfig, path) -> None:

@@ -3,7 +3,10 @@
 A dataset directory holds `dataset.json` (the manifest), `vocab.json` and one
 JSON-lines event log per subject under `logs/`. The manifest lists subjects
 with their per-day labels (and grade when present) so training, evaluation
-and the grade task all read the same structure.
+and the grade task all read the same structure. The manifest is read
+through `lgbg.schema`: `subjects` must be a list of objects, each with an
+`id` and a `log` string, label days must be decimal day indices and label
+classes integers, and `gpa` and `day_origin` must be numbers.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .graphs import GlobalSample, build_samples
+from .schema import read_json, require
 from .streams import (ConceptEvent, Vocabulary, parse_event_log, write_event_log)
 from .synth import SynthDataset
 
@@ -34,7 +38,6 @@ class Dataset:
     vocab: Vocabulary
     subjects: list[SubjectRecord]
     day_origin: int = 0
-    meta: dict = field(default_factory=dict)
 
     def samples(self, span: int, table) -> list[GlobalSample]:
         out = []
@@ -72,22 +75,18 @@ def write_dataset(dataset: SynthDataset, out_dir) -> Path:
 
 def load_dataset(path) -> Dataset:
     root = Path(path)
-    manifest_path = root / MANIFEST
-    if not manifest_path.exists():
-        raise ValidationError(f"no {MANIFEST} under {root}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"manifest is not valid JSON: {e}") from e
-    if manifest.get("format") != 1:
-        raise ParseError(f"unsupported dataset format {manifest.get('format')!r}")
+    manifest = read_json(root / MANIFEST, "dataset manifest", 1)
     vocab = Vocabulary.load(root / VOCAB_FILE)
     subjects = []
-    for entry in manifest["subjects"]:
-        parsed = parse_event_log(root / entry["log"], vocab)
-        labels = {int(day): int(cls) for day, cls in entry.get("labels", {}).items()}
-        subjects.append(SubjectRecord(subject=entry["id"], streams=parsed.streams,
-                                      labels=labels, gpa=entry.get("gpa")))
+    for entry in require(manifest, "subjects", list[dict]):
+        labels = require(entry, "labels", dict[str, int], {})
+        for day in labels:
+            if not (day.isascii() and day.isdigit()):
+                raise ParseError(f"label day {day!r} is not a day index")
+        parsed = parse_event_log(root / require(entry, "log", str), vocab)
+        subjects.append(SubjectRecord(subject=require(entry, "id", str),
+                                      streams=parsed.streams,
+                                      labels={int(day): cls for day, cls in labels.items()},
+                                      gpa=require(entry, "gpa", float, None)))
     return Dataset(vocab=vocab, subjects=subjects,
-                   day_origin=int(manifest.get("day_origin", 0)),
-                   meta=manifest.get("scenario", {}))
+                   day_origin=int(require(manifest, "day_origin", float, 0)))

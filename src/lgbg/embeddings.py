@@ -1,14 +1,18 @@
 """Initial node embeddings: loaded from a word-vector file or derived
-deterministically from concept names when no file is supplied."""
+deterministically from concept names when no file is supplied.
+
+Embedding files are UTF-8 text read through `lgbg.schema.read_text`; a
+missing file, bytes that are not UTF-8, a value that is not a finite number
+and a line of the wrong length are input errors."""
 
 from __future__ import annotations
 
 import hashlib
-from pathlib import Path
 
 import numpy as np
 
 from .errors import EmbeddingError, ParseError
+from .schema import read_text
 from .streams import Vocabulary
 
 
@@ -48,12 +52,11 @@ class EmbeddingTable:
         return cls(names, vectors, source="deterministic-fallback")
 
     @classmethod
-    def from_file(cls, path, vocab: Vocabulary, dim: int, seed: int,
-                  fill_missing: bool = True) -> "EmbeddingTable":
-        """Read `<name> v1 .. vd` lines; vocabulary concepts absent from the
-        file get fallback vectors when `fill_missing`, else raise."""
+    def from_file(cls, path, vocab: Vocabulary, dim: int, seed: int) -> "EmbeddingTable":
+        """Read `<name> v1 .. vd` lines of finite numbers; vocabulary concepts
+        absent from the file get fallback vectors."""
         loaded: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
+        for lineno, line in enumerate(read_text(path, "embedding file").splitlines(),
                                       start=1):
             parts = line.split()
             if not parts:
@@ -64,14 +67,9 @@ class EmbeddingTable:
                 raise ParseError(f"bad embedding value: {e}", line=lineno) from e
             if vec.size != dim:
                 raise ParseError(f"expected {dim} values, got {vec.size}", line=lineno)
+            if not np.isfinite(vec).all():
+                raise ParseError("embedding values must be finite", line=lineno)
             loaded[parts[0]] = vec
         names = sorted({c for _, c in vocab.all_concepts()})
-        vectors = []
-        for n in names:
-            if n in loaded:
-                vectors.append(loaded[n])
-            elif fill_missing:
-                vectors.append(_hash_vector(n, dim, seed))
-            else:
-                raise EmbeddingError(f"no embedding for concept {n!r} and no fallback")
+        vectors = [loaded[n] if n in loaded else _hash_vector(n, dim, seed) for n in names]
         return cls(names, np.stack(vectors), source="file")

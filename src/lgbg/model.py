@@ -1,6 +1,8 @@
 """The full predictor: shared graph network + temporal attention + classifier,
 with versioned JSON checkpoints that embed the effective config, vocabulary
-digest and embedding table."""
+digest and embedding table. Checkpoints are read through `lgbg.schema`:
+`config`, `embeddings` and `params` must be objects, and every stored array
+must be finite and fit the shape the config gives it."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from .embeddings import EmbeddingTable
 from .errors import ParseError, ValidationError
 from .gnn import GnnParams, LocalGraphRep, local_graph_forward
 from .graphs import GlobalSample
+from .schema import read_json, require, require_array
 from .streams import Vocabulary
 from .temporal import TemporalParams, classify, global_self_attention
 
@@ -115,28 +118,22 @@ class Model:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary | None = None) -> "Model":
-        path = Path(path)
-        if not path.exists():
-            raise ValidationError(f"checkpoint not found: {path}")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ParseError(f"checkpoint is not valid JSON: {e}") from e
-        if doc.get("format") != CHECKPOINT_FORMAT:
-            raise ParseError(f"unsupported checkpoint format {doc.get('format')!r}")
-        config = config_from_dict(doc["config"])
-        emb = doc["embeddings"]
-        table = EmbeddingTable(emb["names"], np.array(emb["vectors"]), emb["source"])
-        model = cls(config, table, doc["vocab_digest"])
-        if vocab is not None and vocab.digest() != doc["vocab_digest"]:
+        doc = read_json(path, "checkpoint", CHECKPOINT_FORMAT)
+        config = config_from_dict(require(doc, "config", dict))
+        emb = require(doc, "embeddings", dict)
+        names = require(emb, "names", list[str])
+        table = EmbeddingTable(names, require_array(emb, "vectors", (len(names), config.d)),
+                               require(emb, "source", str))
+        model = cls(config, table, require(doc, "vocab_digest", str))
+        if vocab is not None and vocab.digest() != model.vocab_digest:
             raise ValidationError("checkpoint vocabulary digest does not match")
         named = model.named_parameters()
-        if set(named) != set(doc["params"]):
+        params = require(doc, "params", dict)
+        if set(named) != set(params):
             raise ParseError("checkpoint parameter names do not match this model")
         for k, v in named.items():
-            stored = doc["params"][k]
-            arr = np.array(stored["data"]).reshape(stored["shape"])
-            if arr.shape != v.data.shape:
+            stored = require(params, k, dict)
+            if require(stored, "shape", list[int]) != list(v.data.shape):
                 raise ParseError(f"checkpoint shape mismatch for {k}")
-            v.data[...] = arr
+            v.data[...] = require_array(stored, "data", (v.data.size,)).reshape(v.data.shape)
         return model

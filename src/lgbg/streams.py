@@ -5,6 +5,10 @@ every following line is one record
 `{"stream": "activity|audio|location", "concept": "<name>", "start": <int s>, "end": <int s>}`.
 The vocabulary file is a single JSON object
 `{"format": 1, "activity": [...], "audio": [...], "location": [...]}`.
+Both are read through `lgbg.schema`, so a file that is missing, not UTF-8 or
+not JSON, a wrong `format`, a `concept` that is not a string, a `start` or
+`end` that is not an integer (a bool is not), and a `location` that is not a
+list of strings are all input errors.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError, VocabularyError
+from .schema import read_json, read_lines, require
 
 ACTIVITY = "activity"
 AUDIO = "audio"
@@ -96,22 +101,14 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        path = Path(path)
-        if not path.exists():
-            raise ValidationError(f"vocabulary file not found: {path}")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ParseError(f"vocabulary file is not valid JSON: {e}") from e
-        if doc.get("format") != FORMAT_VERSION:
-            raise ParseError(f"unsupported vocabulary format {doc.get('format')!r}")
-        if tuple(doc.get(ACTIVITY, ())) != ACTIVITY_CONCEPTS:
+        doc = read_json(path, "vocabulary file", FORMAT_VERSION)
+        if doc.get(ACTIVITY) != list(ACTIVITY_CONCEPTS):
             raise VocabularyError("activity vocabulary must be exactly "
                                   + ", ".join(ACTIVITY_CONCEPTS))
-        if tuple(doc.get(AUDIO, ())) != AUDIO_CONCEPTS:
+        if doc.get(AUDIO) != list(AUDIO_CONCEPTS):
             raise VocabularyError("audio vocabulary must be exactly "
                                   + ", ".join(AUDIO_CONCEPTS))
-        return cls(locations=tuple(doc.get(LOCATION, ())))
+        return cls(locations=tuple(require(doc, LOCATION, list[str])))
 
 
 @dataclass(frozen=True, order=True)
@@ -156,55 +153,50 @@ def parse_event_log(path, vocab: Vocabulary) -> ParsedLog:
     remap count is reported); unknown activity/audio names are vocabulary
     errors because those vocabularies are closed.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"event log not found: {path}")
     streams: dict[str, list[ConceptEvent]] = {s: [] for s in STREAMS}
     seen: set[tuple] = set()
     remapped = 0
     deduped = 0
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e.msg}", line=lineno) from e
-            if not isinstance(rec, dict):
-                raise ParseError("record is not an object", line=lineno)
-            if "format" in rec and lineno == 1:
-                if rec["format"] != FORMAT_VERSION:
-                    raise ParseError(f"unsupported log format {rec['format']!r}", line=lineno)
-                continue
-            missing = {"stream", "concept", "start", "end"} - rec.keys()
-            if missing:
-                raise ParseError(f"missing fields {sorted(missing)}", line=lineno)
-            stream = rec["stream"]
-            if stream not in STREAMS:
-                raise VocabularyError(f"line {lineno}: unknown stream type {stream!r}")
-            concept = rec["concept"]
-            if not isinstance(rec["start"], int) or not isinstance(rec["end"], int):
-                raise ParseError("start/end must be integer seconds", line=lineno)
-            if rec["start"] >= rec["end"]:
-                raise ValidationError(
-                    f"line {lineno}: start {rec['start']} not before end {rec['end']}")
-            if not vocab.contains(stream, concept):
-                if stream == LOCATION:
-                    concept = OTHER_LOCATION
-                    remapped += 1
-                else:
-                    raise VocabularyError(
-                        f"line {lineno}: {concept!r} not in {stream} vocabulary")
-            key = (stream, concept, rec["start"], rec["end"])
-            if key in seen:
-                deduped += 1
-                continue
-            seen.add(key)
-            streams[stream].append(
-                ConceptEvent(start=rec["start"], end=rec["end"],
-                             stream=stream, concept=concept))
+    for lineno, line in enumerate(read_lines(path, "event log"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON: {e.msg}", line=lineno) from e
+        if not isinstance(rec, dict):
+            raise ParseError("record is not an object", line=lineno)
+        if "format" in rec and lineno == 1:
+            if type(rec["format"]) is not int or rec["format"] != FORMAT_VERSION:
+                raise ParseError(f"unsupported log format {rec['format']!r}", line=lineno)
+            continue
+        missing = {"stream", "concept", "start", "end"} - rec.keys()
+        if missing:
+            raise ParseError(f"missing fields {sorted(missing)}", line=lineno)
+        stream, concept, start, end = rec["stream"], rec["concept"], rec["start"], rec["end"]
+        if stream not in STREAMS:
+            raise VocabularyError(f"line {lineno}: unknown stream type {stream!r}")
+        if type(concept) is not str:
+            raise ParseError("concept must be a string", line=lineno)
+        if type(start) is not int or type(end) is not int:
+            raise ParseError("start/end must be integer seconds", line=lineno)
+        if start >= end:
+            raise ValidationError(f"line {lineno}: start {start} not before end {end}")
+        if not vocab.contains(stream, concept):
+            if stream == LOCATION:
+                concept = OTHER_LOCATION
+                remapped += 1
+            else:
+                raise VocabularyError(
+                    f"line {lineno}: {concept!r} not in {stream} vocabulary")
+        key = (stream, concept, start, end)
+        if key in seen:
+            deduped += 1
+            continue
+        seen.add(key)
+        streams[stream].append(
+            ConceptEvent(start=start, end=end, stream=stream, concept=concept))
     for s in STREAMS:
         streams[s] = sort_events(streams[s])
     return ParsedLog(streams=streams, remapped_locations=remapped, deduplicated=deduped)
@@ -264,6 +256,12 @@ def day_span(streams: dict[str, list[ConceptEvent]], day_origin: int = 0) -> int
     if last is None:
         return 0
     return int(np.ceil((last - day_origin) / SECONDS_PER_DAY))
+
+
+def before_origin(streams: dict[str, list[ConceptEvent]], day_origin: int = 0) -> int:
+    """Number of events that start before `day_origin`: day windows drop the
+    part of each that lies before it."""
+    return sum(e.start < day_origin for evs in streams.values() for e in evs)
 
 
 def duration_attribute(window: DayWindow, stream: str, concept: str,

@@ -18,21 +18,22 @@ implemented by `oracle_label`:
 * combined: all three signals agree; the node statistic suffices.
 
 Everything is a pure function of the scenario seed, so rerunning the
-generator reproduces byte-identical logs.
+generator reproduces byte-identical logs. Scenario spec files are read
+through `lgbg.schema`: `format` must be 1, `mechanism` is required, and every
+other key must name a `ScenarioSpec` field and have its type.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .graphs import heterogeneous_edges, homogeneous_edges
+from .schema import build, read_json
 from .streams import (ACTIVITY, AUDIO, LOCATION, ConceptEvent, SECONDS_PER_DAY,
-                      Vocabulary)
+                      Vocabulary, sort_events)
 
 MECHANISMS = ("node", "transition", "cooccurrence", "combined")
 
@@ -68,6 +69,8 @@ class ScenarioSpec:
             raise ValidationError("noise must lie in [0, 1]")
         if self.subjects < 1 or self.days < 1:
             raise ValidationError("subjects and days must be positive")
+        if self.seed < 0 or self.gpa_noise < 0:
+            raise ValidationError("seed and gpa_noise must be >= 0")
 
     def to_dict(self) -> dict:
         return {"format": 1, "mechanism": self.mechanism, "subjects": self.subjects,
@@ -77,9 +80,9 @@ class ScenarioSpec:
 
     @classmethod
     def load(cls, path) -> "ScenarioSpec":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        doc.pop("format", None)
-        return cls(**doc)
+        doc = read_json(path, "scenario spec", 1)
+        del doc["format"]
+        return build(cls, doc, "scenario spec")
 
 
 @dataclass
@@ -200,8 +203,7 @@ def generate(spec: ScenarioSpec) -> SynthDataset:
             noisy = rng.random() < spec.noise
             if labeled:
                 labels[day] = int(rng.integers(4)) if noisy else cls
-        streams = {s: sorted((e for e in events if e.stream == s),
-                             key=lambda e: (e.start, e.end, e.concept))
+        streams = {s: sort_events([e for e in events if e.stream == s])
                    for s in (ACTIVITY, AUDIO, LOCATION)}
         gpa = None
         if spec.gpa:

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lgbg.config import TrainConfig
 from lgbg.embeddings import EmbeddingTable
 from lgbg.streams import ConceptEvent, Vocabulary
+
+# Mutated input files driven through the CLI (tests/test_cli.py): the same
+# examples on every run, each a few CLI calls long.
+settings.register_profile("input-fuzz", derandomize=True, deadline=None, max_examples=1000)
 
 
 @pytest.fixture

@@ -3,10 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgbg.cli import main
+from lgbg.config import TrainConfig
 from lgbg.dataset import load_dataset, write_dataset
+from lgbg.embeddings import EmbeddingTable
 from lgbg.model import Model
+from lgbg.streams import Vocabulary
 from lgbg.synth import ScenarioSpec, generate
 
 DATA = Path(__file__).parent / "data"
@@ -59,6 +64,18 @@ def test_build_graph_empty_log_warns(tmp_path, capsys):
     assert code == 0
     assert "no events" in capsys.readouterr().err
     assert json.loads((tmp_path / "o" / "graphs.json").read_text())["samples"] == []
+
+
+def test_build_graph_counts_events_before_origin(tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"format": 1}\n'
+                   '{"stream": "audio", "concept": "voice", "start": -90000, "end": 100}\n'
+                   '{"stream": "audio", "concept": "noise", "start": 100, "end": 200}\n')
+    for origin, expected in (("0", 1), ("150", 2)):
+        out = tmp_path / f"graphs{origin}"
+        assert main(["build-graph", "--log", str(log), "--vocab", str(DATA / "toy_vocab.json"),
+                     "--out", str(out), "--day-origin", origin]) == 0
+        assert json.loads((out / "graphs.json").read_text())["before_origin"] == expected
 
 
 def test_build_graph_idempotent(tmp_path):
@@ -267,3 +284,168 @@ def test_gradcheck_passes(capsys):
 def test_gradcheck_corrupted_gradient_fails(capsys):
     assert main(["gradcheck", "--seed", "0", "--corrupt"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# malformed input files: always exit 2 with one error line
+
+
+class Inputs:
+    """One valid file of each kind that the CLI reads, under `root`."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        data = root / "data"
+        self.files = {"spec": root / "spec.json", "manifest": data / "dataset.json",
+                      "vocab": data / "vocab.json", "log": data / "logs" / "s000.jsonl",
+                      "config": root / "config.json", "checkpoint": root / "checkpoint.json",
+                      "embeddings": root / "emb.txt"}
+        write_spec(self.files["spec"], gpa=True)
+        assert main(["synth", "--spec", str(self.files["spec"]), "--out", str(data)]) == 0
+        self.files["config"].write_text(json.dumps({"splits": 2, "seed": 1, "lr": 0.01}))
+        vocab = Vocabulary.load(self.files["vocab"])
+        config = TrainConfig(d=8, de=6, dp=10, layers=1)
+        Model(config, EmbeddingTable.fallback(vocab, config.d, config.seed),
+              vocab.digest()).save(self.files["checkpoint"])
+        self.files["embeddings"].write_text("dorm " + " ".join(["0.5"] * 8) + "\n")
+
+    def argv(self, command: str) -> list[str]:
+        f = {k: str(v) for k, v in self.files.items()}
+        out = str(self.root / "out")
+        return {"synth": ["synth", "--spec", f["spec"], "--out", out],
+                "eval": ["eval", "--data", str(self.root / "data"), "--out", out,
+                         "--checkpoint", f["checkpoint"], "--config", f["config"]],
+                "build-graph": ["build-graph", "--log", f["log"], "--vocab", f["vocab"],
+                                "--embeddings", f["embeddings"], "--d", "8",
+                                "--out", out]}[command]
+
+
+def _set(**kw):
+    return lambda doc: doc.update(kw)
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+def _first_subject(change):
+    return lambda doc: change(doc["subjects"][0])
+
+
+NOT_UTF8 = b'{"format": 1, "name": "caf\xe9"}\n'
+
+PROBES = [
+    ("spec-not-json", "spec", b"{not json", "synth"),
+    ("spec-unknown-key", "spec", _set(colour="red"), "synth"),
+    ("spec-list", "spec", b"[1, 2]", "synth"),
+    ("spec-subjects-string", "spec", _set(subjects="3"), "synth"),
+    ("spec-seed-negative", "spec", _set(seed=-1), "synth"),
+    ("spec-gpa-noise-negative", "spec", _set(gpa_noise=-1.0), "synth"),
+    ("manifest-no-subjects", "manifest", _drop("subjects"), "eval"),
+    ("manifest-label-day-x", "manifest",
+     _first_subject(lambda s: s["labels"].update(x=1)), "eval"),
+    ("manifest-subject-no-log", "manifest", _first_subject(_drop("log")), "eval"),
+    ("config-epochs-string", "config", _set(epochs="x"), "eval"),
+    ("config-d-bool", "config", _set(d=True), "eval"),
+    ("config-lr-nan", "config", _set(lr=float("nan")), "eval"),
+    ("config-seed-negative", "config", _set(seed=-1), "eval"),
+    ("checkpoint-no-params", "checkpoint", _drop("params"), "eval"),
+    ("checkpoint-no-embeddings", "checkpoint", _drop("embeddings"), "eval"),
+    ("checkpoint-config-int", "checkpoint", _set(config=5), "eval"),
+    ("vocab-location-int", "vocab", _set(location=5), "eval"),
+    ("vocab-not-utf8", "vocab", NOT_UTF8, "eval"),
+    ("log-not-utf8", "log", NOT_UTF8, "build-graph"),
+    ("embeddings-not-utf8", "embeddings", b"caf\xe9 " + b"0.5 " * 8 + b"\n", "build-graph"),
+    ("log-start-bool", "log",
+     b'{"format": 1}\n{"stream": "audio", "concept": "voice", "start": true, "end": 10}\n',
+     "build-graph"),
+    ("log-concept-list", "log",
+     b'{"format": 1}\n{"stream": "location", "concept": ["x"], "start": 0, "end": 10}\n',
+     "build-graph"),
+]
+
+
+@pytest.mark.parametrize("target, change, command", [p[1:] for p in PROBES],
+                         ids=[p[0] for p in PROBES])
+def test_malformed_input_exit_2(tmp_path, capsys, target, change, command):
+    inputs = Inputs(tmp_path)
+    path = inputs.files[target]
+    if isinstance(change, bytes):
+        path.write_bytes(change)
+    else:
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(inputs.argv(command)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Which command reads each fuzzed file kind.
+READER = {"spec": "synth", "manifest": "eval", "vocab": "eval", "config": "eval",
+          "checkpoint": "eval", "log": "build-graph"}
+# Replacement values of each JSON type but bool (which has its own mutation).
+OTHER_TYPES = [None, "x", [0], {"k": 0}, 0.5]
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    return Inputs(tmp_path_factory.mktemp("inputs"))
+
+
+def _decode(target: str, raw: bytes):
+    if target == "log":
+        return [json.loads(line) for line in raw.decode().splitlines()]
+    return json.loads(raw)
+
+
+def _encode(target: str, doc) -> bytes:
+    if target == "log":
+        return "".join(json.dumps(rec) + "\n" for rec in doc).encode()
+    return json.dumps(doc).encode()
+
+
+def _paths(doc, prefix=()):
+    """Every key of every object and the first two items of every list."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc[:2])
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@settings(settings.get_profile("input-fuzz"))
+@given(data=st.data())
+def test_mutated_input_exits_0_or_2(valid_inputs, data):
+    target = data.draw(st.sampled_from(sorted(READER)), label="file")
+    how = data.draw(st.sampled_from(["drop", "swap", "bool", "nan", "truncate"]),
+                    label="mutation")
+    path = valid_inputs.files[target]
+    original = path.read_bytes()
+    if how == "truncate":
+        mutated = original[:data.draw(st.integers(0, len(original) - 1), label="cut")]
+    else:
+        doc = _decode(target, original)
+        *parents, key = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+        holder = doc
+        for k in parents:
+            holder = holder[k]
+        if how == "drop":
+            del holder[key]
+        elif how == "swap":
+            holder[key] = data.draw(st.sampled_from(
+                [v for v in OTHER_TYPES if type(v) is not type(holder[key])]), label="value")
+        else:
+            holder[key] = True if how == "bool" else float("nan")
+        mutated = _encode(target, doc)
+    try:
+        path.write_bytes(mutated)
+        code = main(valid_inputs.argv(READER[target]))
+    finally:
+        path.write_bytes(original)
+    assert code in (0, 2)

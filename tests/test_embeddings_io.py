@@ -48,13 +48,6 @@ def test_from_file_reads_vectors(tmp_path, vocab):
     assert np.array_equal(table.vector("voice"), fallback.vector("voice"))
 
 
-def test_from_file_without_fallback_errors(tmp_path, vocab):
-    (tmp_path / "emb.txt").write_text("walking 1 0 0 0\n")
-    with pytest.raises(EmbeddingError):
-        EmbeddingTable.from_file(tmp_path / "emb.txt", vocab, dim=4, seed=0,
-                                 fill_missing=False)
-
-
 def test_from_file_dimension_mismatch(tmp_path, vocab):
     (tmp_path / "emb.txt").write_text("walking 1 0\n")
     with pytest.raises(ParseError, match="line 1"):
