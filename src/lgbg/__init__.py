@@ -12,13 +12,13 @@ from .config import TrainConfig, load_config
 from .embeddings import EmbeddingTable
 from .graphs import GlobalSample, LocalContextGraph, build_local_graph, quantize_pam
 from .model import Model
-from .streams import ConceptEvent, Vocabulary, parse_event_log, slice_day
+from .streams import ConceptEvent, Vocabulary, day_windows, parse_event_log
 from .synth import ScenarioSpec, generate
 from .training import evaluate, grade_regression, run_protocol, train
 
 __all__ = [
     "ConceptEvent", "EmbeddingTable", "GlobalSample", "LocalContextGraph",
     "Model", "ScenarioSpec", "TrainConfig", "Vocabulary", "build_local_graph",
-    "evaluate", "generate", "grade_regression", "load_config", "parse_event_log",
-    "quantize_pam", "run_protocol", "slice_day", "train",
+    "day_windows", "evaluate", "generate", "grade_regression", "load_config",
+    "parse_event_log", "quantize_pam", "run_protocol", "train",
 ]

@@ -25,7 +25,7 @@ from .errors import DimensionError, LgbgError, NumericError, ValidationError
 from .graphs import build_local_graph, dump_graph
 from .metrics import average_reports
 from .model import Model
-from .streams import Vocabulary, before_origin, day_span, parse_event_log, slice_day
+from .streams import Vocabulary, before_origin, day_span, day_windows, parse_event_log
 from .synth import ScenarioSpec, generate
 from .training import ProtocolResult, evaluate, run_protocol, split_protocol, train
 
@@ -102,9 +102,8 @@ def cmd_build_graph(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     days = day_span(parsed.streams, config.day_origin)
     if days == 0:
-        print("warning: event log holds no events; nothing to build", file=sys.stderr)
-    for d in range(days):
-        window = slice_day(parsed.streams, d, config.day_origin)
+        print("warning: no events after the day origin; nothing to build", file=sys.stderr)
+    for d, window in enumerate(day_windows(parsed.streams, config.day_origin, days)):
         dump_graph(build_local_graph(window, vocab, table), out / f"day_{d:05d}.json")
     spans = [list(range(d - config.span + 1, d + 1))
              for d in range(config.span - 1, days)]

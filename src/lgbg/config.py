@@ -48,13 +48,15 @@ class TrainConfig:
             raise ValidationError(f"lambda {self.lam} must be >= 0")
         if self.splits < 2:
             raise ValidationError(f"split count {self.splits} must be >= 2")
-        for name in ("d", "de", "dp", "span", "epochs", "batch_size"):
+        for name in ("d", "de", "dp", "span", "epochs", "batch_size", "patience", "knn_k"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")
         if self.layers < 0:
             raise ValidationError("layers must be >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
+        if not 0 <= self.val_fraction < 1:
+            raise ValidationError(f"val_fraction {self.val_fraction} must be in [0, 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -33,10 +33,6 @@ class EmbeddingTable:
         self.source = source  # "file" or "deterministic-fallback"
         self._index = {n: i for i, n in enumerate(self.names)}
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
     def index(self, name: str) -> int:
         if name not in self._index:
             raise EmbeddingError(f"no embedding for concept {name!r}")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .streams import (STREAMS, ConceptEvent, DayWindow, Vocabulary, slice_day,
+from .streams import (STREAMS, ConceptEvent, DayWindow, Vocabulary, day_windows,
                       sort_events)
 
 HOMOGENEOUS = "homogeneous"
@@ -230,25 +230,17 @@ def build_local_graph(window: DayWindow, vocab: Vocabulary, table) -> LocalConte
 def build_samples(streams: dict[str, list[ConceptEvent]], labels: dict[int, int],
                   span: int, vocab: Vocabulary, table, subject: str = "",
                   day_origin: int = 0) -> list[GlobalSample]:
-    """One sample per labeled day that has a full span of prior days."""
+    """One sample per labeled day that has a full span of prior days; a day
+    graph is built once and shared by every sample that contains it."""
     if span < 1:
         raise ValidationError(f"span {span} must be >= 1")
-    graph_cache: dict[int, LocalContextGraph] = {}
-
-    def graph_for(day: int) -> LocalContextGraph:
-        if day not in graph_cache:
-            window = slice_day(streams, day, day_origin)
-            graph_cache[day] = build_local_graph(window, vocab, table)
-        return graph_cache[day]
-
-    samples = []
-    for day in sorted(labels):
-        if day < span - 1:
-            continue
-        graphs = [graph_for(d) for d in range(day - span + 1, day + 1)]
-        samples.append(GlobalSample(graphs=graphs, label=labels[day],
-                                    subject=subject, anchor_day=day))
-    return samples
+    anchors = [day for day in sorted(labels) if day >= span - 1]
+    windows = day_windows(streams, day_origin, anchors[-1] + 1 if anchors else 0)
+    graphs = {d: build_local_graph(windows[d], vocab, table)
+              for d in sorted({d for a in anchors for d in range(a - span + 1, a + 1)})}
+    return [GlobalSample(graphs=[graphs[d] for d in range(a - span + 1, a + 1)],
+                         label=labels[a], subject=subject, anchor_day=a)
+            for a in anchors]
 
 
 def quantize_pam(score: int) -> int:

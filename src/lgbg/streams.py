@@ -9,13 +9,17 @@ Both are read through `lgbg.schema`, so a file that is missing, not UTF-8 or
 not JSON, a wrong `format`, a `concept` that is not a string, a `start` or
 `end` that is not an integer (a bool is not), and a `location` that is not a
 list of strings are all input errors.
+
+A log becomes days in one pass: `day_windows` clips every event into each
+day it overlaps, at most `MAX_DAYS` days after the day origin, so a timestamp
+far in the future is an input error rather than billions of empty windows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,8 @@ OTHER_LOCATION = "other-location"
 
 MAX_LOCATIONS = 100
 SECONDS_PER_DAY = 86400
+# Day windows are allocated up front: at most a century after the day origin.
+MAX_DAYS = 36525
 FORMAT_VERSION = 1
 
 # activity[4] + audio[4] + location[100]
@@ -225,37 +231,41 @@ class DayWindow:
     def events(self, stream: str) -> list[ConceptEvent]:
         return self.streams.get(stream, [])
 
-    def is_empty(self) -> bool:
-        return all(not v for v in self.streams.values())
 
+def day_windows(streams: dict[str, list[ConceptEvent]], day_origin: int,
+                days: int) -> list[DayWindow]:
+    """Windows for days 0 .. `days` - 1 after `day_origin`, cut in one pass.
 
-def slice_day(streams: dict[str, list[ConceptEvent]], day_index: int,
-              day_origin: int = 0) -> DayWindow:
-    """Clip every stream to day `day_index`; events straddling a boundary are
-    split at it, so summed durations over days conserve total event time."""
-    if day_index < 0:
-        raise ValidationError(f"day_index {day_index} is negative")
-    lo = day_origin + SECONDS_PER_DAY * day_index
-    hi = lo + SECONDS_PER_DAY
-    window: dict[str, list[ConceptEvent]] = {}
+    Each event lands, clipped, in every day it overlaps, so summed durations
+    over days conserve total event time; the part before `day_origin` or past
+    the last day falls in no window. More than `MAX_DAYS` days is an input error.
+    """
+    if days > MAX_DAYS:
+        raise ValidationError(f"day {days - 1} after day origin {day_origin} is past "
+                              f"the {MAX_DAYS}-day limit")
+    cut = [{s: [] for s in STREAMS} for _ in range(days)]
     for s in STREAMS:
-        clipped = []
         for e in streams.get(s, []):
-            start = max(e.start, lo)
-            end = min(e.end, hi)
-            if start < end:
-                clipped.append(ConceptEvent(start=start, end=end,
-                                            stream=e.stream, concept=e.concept))
-        window[s] = sort_events(clipped)
-    return DayWindow(day_index=day_index, day_start=lo, day_end=hi, streams=window)
+            first = max(0, (e.start - day_origin) // SECONDS_PER_DAY)
+            last = min(days - 1, (e.end - 1 - day_origin) // SECONDS_PER_DAY)
+            for d in range(first, last + 1):
+                lo = day_origin + SECONDS_PER_DAY * d
+                start, end = max(e.start, lo), min(e.end, lo + SECONDS_PER_DAY)
+                cut[d][s].append(e if (start, end) == (e.start, e.end)
+                                 else replace(e, start=start, end=end))
+    # Sorted per day: streams may come in any order, and clipping moves a straddler's
+    # start to midnight, where it can tie with or follow an event that starts there.
+    return [DayWindow(d, day_origin + SECONDS_PER_DAY * d,
+                      day_origin + SECONDS_PER_DAY * (d + 1),
+                      {s: sort_events(v) for s, v in window.items()})
+            for d, window in enumerate(cut)]
 
 
 def day_span(streams: dict[str, list[ConceptEvent]], day_origin: int = 0) -> int:
-    """Number of day windows needed to cover every event (0 for no events)."""
-    last = max((e.end for evs in streams.values() for e in evs), default=None)
-    if last is None:
-        return 0
-    return int(np.ceil((last - day_origin) / SECONDS_PER_DAY))
+    """Number of day windows needed to cover every event (0 for no events,
+    or when every event ends by `day_origin`)."""
+    last = max((e.end for evs in streams.values() for e in evs), default=day_origin)
+    return max(0, -((day_origin - last) // SECONDS_PER_DAY))
 
 
 def before_origin(streams: dict[str, list[ConceptEvent]], day_origin: int = 0) -> int:

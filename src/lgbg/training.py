@@ -17,7 +17,7 @@ from .graphs import GlobalSample, build_samples
 from .metrics import (EvalReport, GradeReport, average_reports,
                       classification_report, grade_report, knn_regress_loo)
 from .model import Model, SampleOutput
-from .streams import FEATURE_DIM, Vocabulary, behavior_feature, day_span, slice_day
+from .streams import FEATURE_DIM, Vocabulary, behavior_feature, day_span, day_windows
 
 PROB_FLOOR = 1e-12
 
@@ -259,8 +259,8 @@ def grade_regression(model: Model, cohort: list[tuple[str, dict, float]],
         reps = np.stack([model.representation(s) for s in windows])
         graph_feats.append(reps.mean(axis=0))
         hand = np.zeros(FEATURE_DIM)
-        for d in range(n_days):
-            hand += behavior_feature(slice_day(streams, d, config.day_origin), vocab)
+        for window in day_windows(streams, config.day_origin, n_days):
+            hand += behavior_feature(window, vocab)
         hand_feats.append(hand)
         gpas.append(gpa)
         names.append(subject)

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from lgbg.config import TrainConfig
 from lgbg.embeddings import EmbeddingTable
-from lgbg.streams import ConceptEvent, Vocabulary
+from lgbg.streams import ConceptEvent, DayWindow, Vocabulary, day_windows
 
 # Mutated input files driven through the CLI (tests/test_cli.py): the same
 # examples on every run, each a few CLI calls long.
@@ -30,6 +30,11 @@ def small_table(vocab, small_config) -> EmbeddingTable:
 
 def ev(stream: str, concept: str, start: int, end: int) -> ConceptEvent:
     return ConceptEvent(stream=stream, concept=concept, start=start, end=end)
+
+
+def one_day(streams, day: int = 0) -> DayWindow:
+    """Window `day` of `streams`, days counted from origin 0."""
+    return day_windows(streams, 0, day + 1)[day]
 
 
 def random_events(rng: np.random.Generator, stream: str, concepts, n: int,

@@ -78,6 +78,19 @@ def test_build_graph_counts_events_before_origin(tmp_path):
         assert json.loads((out / "graphs.json").read_text())["before_origin"] == expected
 
 
+def test_build_graph_log_before_origin_builds_nothing(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"format": 1}\n'
+                   '{"stream": "audio", "concept": "voice", "start": 100, "end": 200}\n')
+    out = tmp_path / "graphs"
+    assert main(["build-graph", "--log", str(log), "--vocab", str(DATA / "toy_vocab.json"),
+                 "--out", str(out), "--day-origin", str(3 * 86400)]) == 0
+    assert "nothing to build" in capsys.readouterr().err
+    index = json.loads((out / "graphs.json").read_text())
+    assert (index["days"], index["samples"], index["before_origin"]) == (0, [], 1)
+    assert [p.name for p in out.iterdir()] == ["graphs.json"]
+
+
 def test_build_graph_idempotent(tmp_path):
     out = tmp_path / "graphs"
     args = ["build-graph", "--log", str(DATA / "toy_log.jsonl"),
@@ -345,10 +358,15 @@ PROBES = [
     ("manifest-label-day-x", "manifest",
      _first_subject(lambda s: s["labels"].update(x=1)), "eval"),
     ("manifest-subject-no-log", "manifest", _first_subject(_drop("log")), "eval"),
+    ("manifest-label-day-far", "manifest",
+     _first_subject(lambda s: s["labels"].update({"99999999": 1})), "eval"),
     ("config-epochs-string", "config", _set(epochs="x"), "eval"),
     ("config-d-bool", "config", _set(d=True), "eval"),
     ("config-lr-nan", "config", _set(lr=float("nan")), "eval"),
     ("config-seed-negative", "config", _set(seed=-1), "eval"),
+    ("config-val-fraction-2", "config", _set(val_fraction=2.0), "eval"),
+    ("config-patience-negative", "config", _set(patience=-3), "eval"),
+    ("config-knn-k-0", "config", _set(knn_k=0), "eval"),
     ("checkpoint-no-params", "checkpoint", _drop("params"), "eval"),
     ("checkpoint-no-embeddings", "checkpoint", _drop("embeddings"), "eval"),
     ("checkpoint-config-int", "checkpoint", _set(config=5), "eval"),
@@ -362,6 +380,9 @@ PROBES = [
     ("log-concept-list", "log",
      b'{"format": 1}\n{"stream": "location", "concept": ["x"], "start": 0, "end": 10}\n',
      "build-graph"),
+    ("log-end-far-future", "log",
+     b'{"format": 1}\n{"stream": "audio", "concept": "voice", "start": 0,'
+     b' "end": 1000000000000000}\n', "build-graph"),
 ]
 
 

@@ -5,9 +5,9 @@ from lgbg.errors import ValidationError
 from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, build_local_graph,
                          build_samples, heterogeneous_edges, homogeneous_edges,
                          quantize_pam)
-from lgbg.streams import ACTIVITY, AUDIO, LOCATION, slice_day
+from lgbg.streams import ACTIVITY, AUDIO, LOCATION
 
-from conftest import ev, random_events
+from conftest import ev, one_day, random_events
 
 
 def adjacent_pair_tally(events):
@@ -90,14 +90,14 @@ def test_heterogeneous_matches_all_pairs_oracle():
 
 
 def test_empty_window_empty_graph(vocab, small_table):
-    graph = build_local_graph(slice_day({}, 0), vocab, small_table)
+    graph = build_local_graph(one_day({}), vocab, small_table)
     assert graph.is_empty()
     assert graph.edges == []
 
 
 def test_single_event_graph(vocab, small_table):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 5400)]}
-    graph = build_local_graph(slice_day(streams, 0), vocab, small_table)
+    graph = build_local_graph(one_day(streams), vocab, small_table)
     assert len(graph.nodes) == 1
     assert graph.nodes[0].attribute == 1.5
     assert graph.edges == []
@@ -113,7 +113,7 @@ def scripted_day():
 
 
 def test_scripted_day_matches_hand_enumeration(vocab, small_table):
-    graph = build_local_graph(slice_day(scripted_day(), 0), vocab, small_table)
+    graph = build_local_graph(one_day(scripted_day()), vocab, small_table)
     keys = [(n.stream, n.concept) for n in graph.nodes]
     assert keys == [(ACTIVITY, "stationary"), (ACTIVITY, "walking"),
                     (AUDIO, "silence"), (AUDIO, "voice"),
@@ -138,8 +138,8 @@ def test_scripted_day_matches_hand_enumeration(vocab, small_table):
 def test_edge_weights_invariant_to_event_permutation(vocab, small_table):
     streams = scripted_day()
     shuffled = {s: list(reversed(v)) for s, v in streams.items()}
-    g1 = build_local_graph(slice_day(streams, 0), vocab, small_table)
-    g2 = build_local_graph(slice_day(shuffled, 0), vocab, small_table)
+    g1 = build_local_graph(one_day(streams), vocab, small_table)
+    g2 = build_local_graph(one_day(shuffled), vocab, small_table)
     assert g1.to_dict() == g2.to_dict()
 
 
@@ -150,7 +150,7 @@ def test_every_het_edge_backed_by_an_overlap(vocab, small_table):
         AUDIO: random_events(rng, AUDIO, ["voice", "noise"], 20),
         LOCATION: random_events(rng, LOCATION, ["dorm", "gym"], 20),
     }
-    window = slice_day(streams, 0)
+    window = one_day(streams)
     graph = build_local_graph(window, vocab, small_table)
     for e in graph.edges:
         if e.kind != HETEROGENEOUS:

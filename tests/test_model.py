@@ -10,9 +10,9 @@ from lgbg.gnn import (GnnParams, edge_embeddings, initial_states, local_graph_fo
                       message_passing_layer, semantic_pool, structural_pool)
 from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GraphEdge, LocalContextGraph,
                          build_local_graph)
-from lgbg.streams import ACTIVITY, AUDIO, LOCATION, slice_day
+from lgbg.streams import ACTIVITY, AUDIO, LOCATION
 
-from conftest import ev
+from conftest import ev, one_day
 
 DATA = Path(__file__).parent / "data"
 
@@ -25,7 +25,7 @@ def mixed_graph(vocab, table):
         AUDIO: [ev(AUDIO, "voice", 0, 5000), ev(AUDIO, "silence", 5400, 12000)],
         LOCATION: [ev(LOCATION, "dorm", 0, 8000), ev(LOCATION, "library", 8200, 12600)],
     }
-    return build_local_graph(slice_day(streams, 0), vocab, table)
+    return build_local_graph(one_day(streams), vocab, table)
 
 
 def dense_layer_oracle(states, graph, layer, nonlinear):
@@ -62,7 +62,7 @@ def dense_layer_oracle(states, graph, layer, nonlinear):
 
 def test_attribute_scaling_identity_at_full_day(vocab, small_table):
     streams = {ACTIVITY: [ev(ACTIVITY, "running", 0, 86400)]}
-    graph = build_local_graph(slice_day(streams, 0), vocab, small_table)
+    graph = build_local_graph(one_day(streams), vocab, small_table)
     states = initial_states(graph.arrays, small_table)
     assert np.allclose(states.data[0], small_table.vector("running"), atol=1e-15)
 
@@ -86,7 +86,7 @@ def make_params(config, seed=0):
 
 def test_isolated_node_gets_self_term_only(vocab, small_table, small_config):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 7200)]}
-    graph = build_local_graph(slice_day(streams, 0), vocab, small_table)
+    graph = build_local_graph(one_day(streams), vocab, small_table)
     params = make_params(small_config)
     states = initial_states(graph.arrays, small_table)
     compiled = graph.arrays
@@ -100,8 +100,8 @@ def test_single_edge_alpha_is_one_regardless_of_weight(vocab, small_table, small
     results = []
     for weight in (1, 7):
         graph = LocalContextGraph(day_index=0)
-        base = build_local_graph(slice_day(
-            {AUDIO: [ev(AUDIO, "voice", 0, 3600), ev(AUDIO, "silence", 3600, 7200)]}, 0),
+        base = build_local_graph(one_day(
+            {AUDIO: [ev(AUDIO, "voice", 0, 3600), ev(AUDIO, "silence", 3600, 7200)]}),
             vocab, small_table)
         graph.nodes = base.nodes
         graph.edges = [GraphEdge(src=e.src, dst=e.dst, kind=e.kind, weight=weight)
@@ -254,7 +254,7 @@ def test_empty_graph_uses_empty_day_vector(vocab, small_table, small_config):
 
 def test_edgeless_graph_zero_structural(vocab, small_table, small_config):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 7200)]}
-    graph = build_local_graph(slice_day(streams, 0), vocab, small_table)
+    graph = build_local_graph(one_day(streams), vocab, small_table)
     params = make_params(small_config)
     rep = local_graph_forward(graph, small_table, params, small_config)
     assert np.array_equal(rep.g_e.data, np.zeros(small_config.de))

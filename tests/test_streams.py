@@ -2,16 +2,17 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgbg.errors import ParseError, ValidationError, VocabularyError
-from lgbg.streams import (ACTIVITY, AUDIO, LOCATION, OTHER_LOCATION,
-                          Vocabulary, behavior_feature, day_span,
-                          duration_attribute, parse_event_log, slice_day,
+from lgbg.streams import (ACTIVITY, AUDIO, LOCATION, MAX_DAYS, OTHER_LOCATION,
+                          SECONDS_PER_DAY, STREAMS, ConceptEvent, DayWindow,
+                          Vocabulary, behavior_feature, day_span, day_windows,
+                          duration_attribute, parse_event_log, sort_events,
                           write_event_log)
 
-from conftest import ev
+from conftest import ev, one_day
 
 
 def write_log(path, records, header=True):
@@ -141,21 +142,16 @@ def test_parse_serialize_parse_identity(tmp_path, vocab):
 
 def test_slice_splits_straddling_event():
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 23 * 3600, 25 * 3600)]}
-    d0 = slice_day(streams, 0)
-    d1 = slice_day(streams, 1)
+    d0 = one_day(streams)
+    d1 = one_day(streams, 1)
     assert [e.seconds for e in d0.events(ACTIVITY)] == [3600]
     assert [e.seconds for e in d1.events(ACTIVITY)] == [3600]
 
 
 def test_slice_keeps_inside_events():
     streams = {AUDIO: [ev(AUDIO, "voice", 100, 200), ev(AUDIO, "noise", 300, 500)]}
-    window = slice_day(streams, 0)
+    window = one_day(streams)
     assert [(e.start, e.end) for e in window.events(AUDIO)] == [(100, 200), (300, 500)]
-
-
-def test_slice_negative_day_index():
-    with pytest.raises(ValidationError):
-        slice_day({}, -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,10 +162,82 @@ def test_slicing_conserves_total_duration(raw):
     streams = {AUDIO: events}
     total = sum(e.seconds for e in events) / 3600.0
     days = day_span(streams)
-    clipped = sum(sum(e.seconds for e in slice_day(streams, d).events(AUDIO))
+    clipped = sum(sum(e.seconds for e in one_day(streams, d).events(AUDIO))
                   for d in range(days)) / 3600.0
     assert abs(total - clipped) < 1e-9
 
+
+
+def test_day_span_never_negative():
+    streams = {AUDIO: [ev(AUDIO, "voice", 100, 200)]}
+    assert day_span(streams, 3 * SECONDS_PER_DAY) == 0
+    assert day_span(streams, 199) == 1
+    assert day_span(streams, 200) == 0
+
+
+def test_day_windows_bounded_by_max_days():
+    assert len(day_windows({}, 0, MAX_DAYS)) == MAX_DAYS
+    with pytest.raises(ValidationError, match="day origin 0"):
+        day_windows({}, 0, MAX_DAYS + 1)
+
+
+def test_day_windows_admit_unix_epoch_seconds():
+    start = 1_760_000_000  # October 2025, in seconds since 1970
+    streams = {AUDIO: [ev(AUDIO, "voice", start, start + 60)]}
+    days = day_span(streams)
+    window = day_windows(streams, 0, days)[-1]
+    assert days == start // SECONDS_PER_DAY + 1
+    assert window.events(AUDIO) == streams[AUDIO]
+
+
+def reference_window(streams, day_index: int, day_origin: int) -> DayWindow:
+    """The per-day clipping that `day_windows` replaced: one scan of every
+    stream for each day."""
+    lo = day_origin + SECONDS_PER_DAY * day_index
+    hi = lo + SECONDS_PER_DAY
+    window = {}
+    for s in STREAMS:
+        clipped = []
+        for e in streams.get(s, []):
+            start = max(e.start, lo)
+            end = min(e.end, hi)
+            if start < end:
+                clipped.append(ConceptEvent(start=start, end=end,
+                                            stream=e.stream, concept=e.concept))
+        window[s] = sort_events(clipped)
+    return DayWindow(day_index=day_index, day_start=lo, day_end=hi, streams=window)
+
+
+HOUR = 3600
+# Whole hours often land on midnight, so straddlers clipped there tie with
+# events that start there, and long events clip to identical tuples.
+TIMES = st.one_of(st.integers(-2 * SECONDS_PER_DAY, 4 * SECONDS_PER_DAY),
+                  st.integers(-48, 96).map(lambda h: h * HOUR))
+LENGTHS = st.one_of(st.integers(1, 2 * SECONDS_PER_DAY),
+                    st.integers(1, 60).map(lambda h: h * HOUR))
+ORIGINS = st.one_of(st.just(0), st.integers(-SECONDS_PER_DAY, SECONDS_PER_DAY),
+                    st.integers(-24, 24).map(lambda h: h * HOUR))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.lists(st.tuples(st.sampled_from(STREAMS), st.sampled_from(["x", "y"]),
+                              TIMES, LENGTHS), max_size=25),
+       origin=ORIGINS, extra=st.integers(-2, 2))
+@example(raw=[(AUDIO, "y", 20 * HOUR, 10 * HOUR),         # clipped to day 1's midnight
+              (AUDIO, "x", 25 * HOUR, 2 * HOUR),          # starts at that midnight
+              (AUDIO, "y", 0, 3 * SECONDS_PER_DAY),        # clips, on day 1, to the same
+              (AUDIO, "y", 20 * HOUR, 2 * SECONDS_PER_DAY),  # tuple as this one
+              (LOCATION, "x", -5 * HOUR, 7 * HOUR)],       # starts before the origin
+         origin=HOUR, extra=0)
+def test_day_windows_match_per_day_reference(raw, origin, extra):
+    streams = {s: [] for s in STREAMS}
+    for stream, concept, start, length in raw:
+        streams[stream].append(ev(stream, concept, start, start + length))
+    days = max(0, day_span(streams, origin) + extra)
+    windows = day_windows(streams, origin, days)
+    assert len(windows) == days
+    for d, window in enumerate(windows):
+        assert window == reference_window(streams, d, origin)
 
 # ---------------------------------------------------------------------------
 # durations and the 108-d feature
@@ -178,17 +246,17 @@ def test_slicing_conserves_total_duration(raw):
 def test_duration_additive(vocab):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 1800),
                           ev(ACTIVITY, "walking", 7200, 9000)]}
-    window = slice_day(streams, 0)
+    window = one_day(streams)
     assert duration_attribute(window, ACTIVITY, "walking", vocab) == 1.0
 
 
 def test_duration_absent_concept_zero(vocab):
-    window = slice_day({}, 0)
+    window = one_day({})
     assert duration_attribute(window, AUDIO, "voice", vocab) == 0.0
 
 
 def test_duration_unknown_concept(vocab):
-    window = slice_day({}, 0)
+    window = one_day({})
     with pytest.raises(VocabularyError):
         duration_attribute(window, AUDIO, "humming", vocab)
 
@@ -200,7 +268,7 @@ def test_duration_matches_per_second_oracle(vocab):
         start = int(rng.integers(0, 80000))
         events.append(ev(AUDIO, str(rng.choice(["voice", "silence"])),
                          start, start + int(rng.integers(1, 5000))))
-    window = slice_day({AUDIO: events}, 0)
+    window = one_day({AUDIO: events})
     for concept in ("voice", "silence"):
         per_second = sum(
             max(0, min(e.end, 86400) - max(e.start, 0))
@@ -210,12 +278,12 @@ def test_duration_matches_per_second_oracle(vocab):
 
 
 def test_behavior_feature_empty_day(vocab):
-    assert np.array_equal(behavior_feature(slice_day({}, 0), vocab), np.zeros(108))
+    assert np.array_equal(behavior_feature(one_day({}), vocab), np.zeros(108))
 
 
 def test_behavior_feature_full_day_stationary(vocab):
     streams = {ACTIVITY: [ev(ACTIVITY, "stationary", 0, 86400)]}
-    feat = behavior_feature(slice_day(streams, 0), vocab)
+    feat = behavior_feature(one_day(streams), vocab)
     assert feat[vocab.feature_index(ACTIVITY, "stationary")] == 24.0
     assert feat.sum() == 24.0
 
@@ -227,7 +295,7 @@ def test_behavior_feature_cross_checks_duration(vocab):
                    for s in range(0, 40000, 4000)],
         LOCATION: [ev(LOCATION, "dorm", 0, 7200), ev(LOCATION, "gym", 9000, 12600)],
     }
-    window = slice_day(streams, 0)
+    window = one_day(streams)
     feat = behavior_feature(window, vocab)
     for stream in (ACTIVITY, AUDIO, LOCATION):
         for concept in vocab.concepts(stream):
@@ -240,6 +308,6 @@ def test_behavior_feature_invariant_to_event_order(tmp_path, vocab):
                rec("activity", "walking", 2000, 2600), rec("audio", "silence", 600, 900)]
     write_log(tmp_path / "a.jsonl", records)
     write_log(tmp_path / "b.jsonl", records[::-1])
-    fa = behavior_feature(slice_day(parse_event_log(tmp_path / "a.jsonl", vocab).streams, 0), vocab)
-    fb = behavior_feature(slice_day(parse_event_log(tmp_path / "b.jsonl", vocab).streams, 0), vocab)
+    fa = behavior_feature(one_day(parse_event_log(tmp_path / "a.jsonl", vocab).streams), vocab)
+    fb = behavior_feature(one_day(parse_event_log(tmp_path / "b.jsonl", vocab).streams), vocab)
     assert np.array_equal(fa, fb)

@@ -6,9 +6,11 @@ from lgbg.embeddings import EmbeddingTable
 from lgbg.config import TrainConfig
 from lgbg.errors import ValidationError
 from lgbg.graphs import build_samples
-from lgbg.streams import behavior_feature, parse_event_log, slice_day, write_event_log
+from lgbg.streams import behavior_feature, parse_event_log, write_event_log
 from lgbg.synth import MECHANISMS, ScenarioSpec, generate, oracle_label
 from lgbg.training import run_protocol
+
+from conftest import one_day
 
 
 def test_rejects_unknown_mechanism():
@@ -24,7 +26,7 @@ def test_behavior_features_pairwise_distinct_across_classes():
     for day, cls in rec.day_classes.items():
         by_class.setdefault(cls, day)
     assert set(by_class) == {0, 1, 2, 3}
-    feats = [behavior_feature(slice_day(rec.streams, by_class[c]), dataset.vocab)
+    feats = [behavior_feature(one_day(rec.streams, by_class[c]), dataset.vocab)
              for c in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
@@ -68,7 +70,7 @@ def test_oracle_recovers_every_zero_noise_day(mechanism):
     dataset = generate(spec)
     for rec in dataset.subjects:
         for day, cls in rec.day_classes.items():
-            window = slice_day(rec.streams, day)
+            window = one_day(rec.streams, day)
             assert oracle_label(window.streams, spec) == cls
 
 
@@ -76,7 +78,7 @@ def test_oracle_is_order_invariant():
     spec = ScenarioSpec(mechanism="transition", subjects=1, days=2, seed=13)
     dataset = generate(spec)
     rec = dataset.subjects[0]
-    window = slice_day(rec.streams, 0)
+    window = one_day(rec.streams)
     label = oracle_label(window.streams, spec)
     shuffled = {s: list(reversed(v)) for s, v in window.streams.items()}
     assert oracle_label(shuffled, spec) == label
