@@ -240,19 +240,6 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def const_matmul(c: np.ndarray, x: Tensor) -> Tensor:
-    """`c @ x` with a non-differentiable left operand (e.g. adjacency weights)."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2 or c.shape[1] != x.data.shape[0]:
-        raise DimensionError(f"const_matmul shapes differ: {c.shape} vs {x.data.shape}")
-    out, rec = _result(c @ x.data, x)
-    if rec:
-        def bwd():
-            x.grad += c.T @ out.grad
-        _push(bwd)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -288,12 +275,41 @@ def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
     return out
 
 
+def _scatter_rows(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """Sum of the rows of `values` into `n` rows, row i into row idx[i].
+
+    Rows are added in their order, so a row's sum does not depend on the
+    rows that go elsewhere. One `bincount` over flat indices does this far
+    faster than `np.add.at` on a matrix.
+    """
+    if values.ndim == 1:
+        return np.bincount(idx, weights=values, minlength=n)
+    width = values.shape[1]
+    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * width).reshape(n, width)
+
+
 def gather_rows(x: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     out, rec = _result(x.data[idx], x)
     if rec:
         def bwd():
-            np.add.at(x.grad, idx, out.grad)
+            if idx.ndim == 0:
+                x.grad[idx] += out.grad
+            else:
+                x.grad += _scatter_rows(out.grad, idx, x.data.shape[0])
+        _push(bwd)
+    return out
+
+
+def cols(x: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start..stop-1 of a matrix."""
+    if x.data.ndim != 2:
+        raise DimensionError("cols expects a matrix")
+    out, rec = _result(x.data[:, start:stop], x)
+    if rec:
+        def bwd():
+            x.grad[:, start:stop] += out.grad
         _push(bwd)
     return out
 
@@ -309,14 +325,13 @@ def rows(x: Tensor, start: int, stop: int) -> Tensor:
     return out
 
 
-def pick(x: Tensor, i: int) -> Tensor:
-    """Select element i of a vector as a 0-d scalar."""
-    if x.data.ndim != 1:
-        raise DimensionError("pick expects a vector")
-    out, rec = _result(x.data[i], x)
+def pick(x: Tensor, index) -> Tensor:
+    """x[index] for an integer index (one element of a vector) or a tuple of
+    integer arrays (elements of a matrix, as numpy indexes them)."""
+    out, rec = _result(x.data[index], x)
     if rec:
         def bwd():
-            x.grad[i] += out.grad
+            np.add.at(x.grad, index, out.grad)
         _push(bwd)
     return out
 
@@ -363,6 +378,73 @@ def col_mean(x: Tensor) -> Tensor:
     if rec:
         def bwd():
             x.grad += out.grad[None, :] / n
+        _push(bwd)
+    return out
+
+
+def row_dot(a: Tensor, b: Tensor) -> Tensor:
+    """Dot product of each row of `a` with the same row of `b`."""
+    if a.data.ndim != 2 or a.data.shape != b.data.shape:
+        raise DimensionError(f"row_dot shapes differ: {a.data.shape} vs {b.data.shape}")
+    out, rec = _result(np.einsum("ij,ij->i", a.data, b.data), a, b)
+    if rec:
+        def bwd():
+            g = out.grad[:, None]
+            if a.requires_grad:
+                a.grad += g * b.data
+            if b.requires_grad:
+                b.grad += g * a.data
+        _push(bwd)
+    return out
+
+
+def segment_sum(x: Tensor, segment, n: int, weights=None, rows=None) -> Tensor:
+    """Per-segment sums of matrix rows: out[k] is the sum of
+    weights[i] * x[rows[i]] over the i with segment[i] == k, for k in 0..n-1.
+
+    `rows` defaults to every row of `x` in order, and `weights` to ones; a
+    constant array or a Tensor. With `rows`, gather and sum are one op, so
+    backward keeps no per-member copy of `x`. An empty segment sums to 0.
+    """
+    segment = np.asarray(segment, dtype=np.intp)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+    picked = x.data if rows is None else x.data[rows]
+    if picked.ndim != 2 or picked.shape[0] != segment.shape[0]:
+        raise DimensionError(f"segment_sum needs one segment id per row, got "
+                             f"{segment.shape[0]} for shape {picked.shape}")
+    w = weights.data if isinstance(weights, Tensor) else weights
+    terms = picked if w is None else picked * w[:, None]
+    inputs = (x, weights) if isinstance(weights, Tensor) else (x,)
+    out, rec = _result(_scatter_rows(terms, segment, n), *inputs)
+    if rec:
+        def bwd():
+            g = out.grad[segment]
+            if x.requires_grad:
+                gx = g if w is None else g * w[:, None]
+                x.grad += gx if rows is None else _scatter_rows(gx, rows, x.data.shape[0])
+            if isinstance(weights, Tensor) and weights.requires_grad:
+                weights.grad += np.einsum("ij,ij->i", g, picked)
+        _push(bwd)
+    return out
+
+
+def segment_softmax(z: Tensor, segment, n: int) -> Tensor:
+    """Stable softmax of a vector within each segment (GAT's neighbourhood
+    softmax); each non-empty segment sums to 1."""
+    segment = np.asarray(segment, dtype=np.intp)
+    if z.data.ndim != 1 or z.data.shape != segment.shape:
+        raise DimensionError("segment_softmax expects one segment id per vector entry")
+    top = np.full(n, -np.inf)
+    np.maximum.at(top, segment, z.data)
+    e = np.exp(z.data - top[segment])
+    s = e / np.bincount(segment, weights=e, minlength=n)[segment]
+    out, rec = _result(s, z)
+    if rec:
+        def bwd():
+            g = out.grad
+            dot = np.bincount(segment, weights=s * g, minlength=n)
+            z.grad += s * (g - dot[segment])
         _push(bwd)
     return out
 

@@ -217,8 +217,8 @@ def _gradcheck_setup(seed: int):
     model = Model(config, table, dataset.vocab.digest())
 
     def loss_fn():
-        outputs = [model.forward(s) for s in samples]
-        return total_loss(outputs, [s.label for s in samples], config.lam)
+        return total_loss(model.forward_batch(samples), [s.label for s in samples],
+                          config.lam)
 
     return model, loss_fn
 

@@ -17,6 +17,11 @@ from pathlib import Path
 from .errors import ValidationError
 from .schema import build, read_json
 
+# Largest accepted model and run sizes. They bound the memory of one batch's
+# graph union and its tape, so an oversized config exits 2 before allocating.
+SIZE_LIMITS = {"d": 512, "de": 512, "dp": 512, "layers": 8, "span": 64,
+               "batch_size": 1024}
+
 
 @dataclass
 class TrainConfig:
@@ -53,6 +58,9 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be positive")
         if self.layers < 0:
             raise ValidationError("layers must be >= 0")
+        for name, limit in SIZE_LIMITS.items():
+            if getattr(self, name) > limit:
+                raise ValidationError(f"{name} {getattr(self, name)} must be <= {limit}")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         if not 0 <= self.val_fraction < 1:

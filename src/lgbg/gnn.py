@@ -1,25 +1,32 @@
-"""Message passing and attention pooling over one day's context graph.
+"""Message passing and attention pooling over a batch of day context graphs.
 
-Each layer updates every node simultaneously from pre-update states:
+A batch is the disjoint union of its day graphs, the mini-batching of Fey &
+Lenssen (arXiv 1903.02428): every node of every graph is one row, the rows
+grouped by stream, and every edge keeps its endpoints' rows. Each layer
+updates every node simultaneously from pre-update states:
 
     new_i = W_x x_i + W_homo · sum_j a_ij x_j + W_het · sum_j a_ij x_j
 
 with a separate (W_x, W_homo, W_het) triple per stream and per layer, and
-edge weights normalized over each node's incoming edges, separately for the
-same-stream and cross-stream kinds. A pointwise tanh follows each layer
-unless `linear_layers` is set. Graph readout combines a node-attention pool
-(semantic) with an edge-attention pool queried by it (structural).
+edge weights a_ij normalized over each node's incoming edges, separately for
+the same-stream and cross-stream kinds. A layer is one gather-and-sum per
+edge kind and three matrix products per stream, whatever the batch size. A
+pointwise tanh follows each layer unless `linear_layers` is set. Graph
+readout combines a node-attention pool (semantic) with an edge-attention
+pool queried by it (structural); each softmax runs within one graph, as
+GAT's runs within one neighbourhood (Veličković et al., arXiv 1710.10903).
 
-The node order, edge indices and adjacencies come from the graph's own
+Node order, edge indices and edge weights come from each graph's own
 `arrays` (see `graphs.GraphArrays`), which this module only reads. Each
 forward gathers the initial states from the embedding table it is given and
-applies the ablation flags itself: a disabled kind loses its adjacency and
-its edges, for aggregation, edge embedding and structural pooling alike.
+applies the ablation flags itself: a disabled kind's edges leave the batch,
+for aggregation, edge embedding and structural pooling alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,115 +81,267 @@ class GnnParams:
         return out
 
 
-def initial_states(arrays: GraphArrays, table: EmbeddingTable) -> Tensor:
+class Messages(NamedTuple):
+    """The edges of one kind: endpoint rows and normalized weights."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+
+
+@dataclass(frozen=True)
+class GraphBatch:
+    """Disjoint union of day graphs, the ablation flags applied.
+
+    Rows are grouped by stream. Within a stream they run graph by graph, each
+    graph's in its canonical order, so `graph_rows[k]` lists graph k's rows
+    in canonical order. Edges run graph by graph, each graph's in its own
+    order; graph k's are `edge_start[k]:edge_start[k + 1]`.
+    """
+
+    n_graphs: int
+    n: int
+    embedding_index: np.ndarray
+    day_fraction: np.ndarray
+    blocks: list[tuple[str, int, int]]          # (stream, lo, hi) row ranges
+    node_graph: np.ndarray                      # graph of each row
+    graph_rows: list[np.ndarray]
+    src_idx: np.ndarray
+    dst_idx: np.ndarray
+    edge_graph: np.ndarray                      # graph of each edge
+    edge_start: np.ndarray                      # n_graphs + 1 edge offsets
+    messages: dict[str, Messages]               # kinds with at least one edge
+    dropped: tuple[str, ...]                    # kinds the ablation flags removed
+
+
+def batch_graphs(parts: Sequence[GraphArrays], config: TrainConfig) -> GraphBatch:
+    """Stack the index forms of one or more non-empty day graphs."""
+    dropped = tuple(kind for kind, on in ((HOMOGENEOUS, config.use_homogeneous),
+                                          (HETEROGENEOUS, config.use_heterogeneous))
+                    if not on)
+    sizes = [a.n for a in parts]
+    start = np.cumsum([0] + sizes)
+    stream = np.concatenate([a.stream_index for a in parts])
+    order = np.argsort(stream, kind="stable")            # row -> node, graph by graph
+    row = np.empty_like(order)
+    row[order] = np.arange(order.size)
+    bounds = np.cumsum([0] + np.bincount(stream, minlength=len(STREAMS)).tolist())
+    blocks = [(s, int(lo), int(hi))
+              for s, lo, hi in zip(STREAMS, bounds[:-1], bounds[1:]) if hi > lo]
+
+    edge_graph = np.repeat(np.arange(len(parts)), [a.src_idx.size for a in parts])
+    src = row[np.concatenate([a.src_idx for a in parts]) + start[edge_graph]]
+    dst = row[np.concatenate([a.dst_idx for a in parts]) + start[edge_graph]]
+    kind = np.concatenate([a.edge_kind for a in parts])
+    weight = np.concatenate([a.edge_weight for a in parts])
+    if dropped:
+        keep = ~np.isin(kind, dropped)
+        src, dst, kind, weight, edge_graph = (
+            src[keep], dst[keep], kind[keep], weight[keep], edge_graph[keep])
+
+    messages = {}
+    for k in (HOMOGENEOUS, HETEROGENEOUS):
+        sel = kind == k
+        if sel.any():
+            messages[k] = Messages(src[sel], dst[sel], weight[sel])
+    return GraphBatch(
+        n_graphs=len(parts), n=int(start[-1]),
+        embedding_index=np.concatenate([a.embedding_index for a in parts])[order],
+        day_fraction=np.concatenate([a.day_fraction for a in parts])[order],
+        blocks=blocks,
+        node_graph=np.repeat(np.arange(len(parts)), sizes)[order],
+        graph_rows=[row[lo:hi] for lo, hi in zip(start[:-1], start[1:])],
+        src_idx=src, dst_idx=dst, edge_graph=edge_graph,
+        edge_start=np.searchsorted(edge_graph, np.arange(len(parts) + 1)),
+        messages=messages, dropped=dropped)
+
+
+def initial_states(arrays: GraphArrays | GraphBatch, table: EmbeddingTable) -> Tensor:
     """Each concept embedding scaled by its fraction-of-day, one row per node.
 
     Embeddings and attributes are fixed inputs, so the result is a constant
     with respect to every trainable tensor. Rows are gathered by the
-    embedding indices the graph was built with, so `table` must order its
+    embedding indices the graphs were built with, so `table` must order its
     concepts as that table did; every table of one vocabulary does.
     """
     return ag.constant(table.vectors[arrays.embedding_index] * arrays.day_fraction)
 
 
-def message_passing_layer(states: Tensor, arrays: GraphArrays,
+def message_passing_layer(states: Tensor, batch: GraphBatch,
                           layer: dict[str, dict[str, Tensor]],
                           nonlinear: bool = True) -> Tensor:
     """One simultaneous update of all node states (Tensor of shape n x d)."""
-    if states.data.shape[0] != arrays.n:
+    if states.data.shape[0] != batch.n:
         raise DimensionError("states row count differs from node count")
-    mixes = {kind: ag.const_matmul(adj, states)
-             for kind, adj in arrays.adjacency.items()}
+    mixes = {kind: ag.segment_sum(states, m.dst, batch.n, weights=m.weight, rows=m.src)
+             for kind, m in batch.messages.items()}
 
     parts = []
-    for b, (stream, lo, hi) in enumerate(arrays.blocks):
+    for stream, lo, hi in batch.blocks:
         w = layer[stream]
         new = ag.matmul_t(ag.rows(states, lo, hi), w["self"])
         for kind, mix in mixes.items():
-            if arrays.has_incoming[kind][b]:
-                new = ag.add(new, ag.matmul_t(ag.rows(mix, lo, hi), w[_WEIGHT[kind]]))
+            new = ag.add(new, ag.matmul_t(ag.rows(mix, lo, hi), w[_WEIGHT[kind]]))
         parts.append(new)
     out = parts[0] if len(parts) == 1 else ag.concat(parts, axis=0)
     return ag.tanh(out) if nonlinear else out
 
 
-def edge_embeddings(states: Tensor, arrays: GraphArrays,
+def edge_embeddings(states: Tensor, batch: GraphBatch,
                     edge_proj: Tensor) -> Tensor | None:
-    """e_ij = W_e [x_src ; x_dst] for every directed edge."""
-    if arrays.src_idx.size == 0:
+    """e_ij = W_e [x_src ; x_dst] for every directed edge.
+
+    Each half of W_e is applied once per node and the products gathered per
+    edge, so no edge-sized copy of both endpoints' states is made.
+    """
+    if batch.src_idx.size == 0:
         return None
-    pairs = ag.concat([ag.gather_rows(states, arrays.src_idx),
-                       ag.gather_rows(states, arrays.dst_idx)], axis=1)
-    return ag.matmul_t(pairs, edge_proj)
+    d = states.data.shape[1]
+    from_src = ag.matmul_t(states, ag.cols(edge_proj, 0, d))
+    from_dst = ag.matmul_t(states, ag.cols(edge_proj, d, 2 * d))
+    return ag.add(ag.gather_rows(from_src, batch.src_idx),
+                  ag.gather_rows(from_dst, batch.dst_idx))
 
 
-def semantic_pool(states: Tensor, node_query: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Attention-weighted sum of node states; also returns the weights."""
-    scores = ag.matmul(states, node_query)
-    beta = ag.softmax(scores)
-    return ag.matmul(beta, states), beta.data.copy()
+def semantic_pool(states: Tensor, node_query: Tensor, graph_of: np.ndarray | None = None,
+                  n_graphs: int = 1) -> tuple[Tensor, np.ndarray]:
+    """Attention-weighted sum of node states per graph; also returns the weights.
+
+    `graph_of` gives each row's graph, and the result has one row per graph.
+    Without it every row is one graph's and the result is that graph's vector.
+    """
+    if graph_of is None:
+        pooled, beta = semantic_pool(states, node_query,
+                                     np.zeros(states.data.shape[0], dtype=np.intp))
+        return ag.gather_rows(pooled, 0), beta
+    beta = ag.segment_softmax(ag.matmul(states, node_query), graph_of, n_graphs)
+    return ag.segment_sum(states, graph_of, n_graphs, weights=beta), beta.data
 
 
-def structural_pool(edge_vectors: Tensor, g_s: Tensor,
-                    edge_query_proj: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Attention-weighted sum of edge embeddings, queried by the semantic pool."""
-    key = ag.matmul(edge_query_proj, g_s)
-    scores = ag.matmul(edge_vectors, key)
-    beta = ag.softmax(scores)
-    return ag.matmul(beta, edge_vectors), beta.data.copy()
+def structural_pool(edge_vectors: Tensor, g_s: Tensor, edge_query_proj: Tensor,
+                    edge_graph: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Attention-weighted sum of edge embeddings per graph, queried by that
+    graph's semantic pool; also returns the weights.
+
+    `edge_graph` gives each edge's graph, and `g_s` has one row per graph.
+    Without it every edge is one graph's, `g_s` is that graph's vector and so
+    is the result.
+    """
+    if edge_graph is None:
+        pooled, beta = structural_pool(edge_vectors, ag.stack_rows([g_s]), edge_query_proj,
+                                       np.zeros(edge_vectors.data.shape[0], dtype=np.intp))
+        return ag.gather_rows(pooled, 0), beta
+    n_graphs = g_s.data.shape[0]
+    keys = ag.matmul_t(g_s, edge_query_proj)
+    scores = ag.row_dot(edge_vectors, ag.gather_rows(keys, edge_graph))
+    beta = ag.segment_softmax(scores, edge_graph, n_graphs)
+    return ag.segment_sum(edge_vectors, edge_graph, n_graphs, weights=beta), beta.data
 
 
 @dataclass
-class LocalGraphRep:
-    """Readout of one local graph: pooled vectors plus the projected rep."""
+class GraphReadout:
+    """What `graph_forward` computes for a batch: per-row node states and
+    attention, per-edge attention, and one pooled row per graph."""
 
-    rep: Tensor                       # dp-dimensional, consumed by the temporal model
-    g: Tensor | None                  # [g_e ; g_s] concatenation (d + de)
-    g_s: Tensor | None
-    g_e: Tensor | None
-    node_states: Tensor | None        # final-layer states, n x d
-    node_keys: list[tuple[str, str]]
-    edge_keys: list[tuple[str, str, str, str, str]]
-    node_attention: np.ndarray | None
+    parts: Sequence[GraphArrays]
+    batch: GraphBatch
+    states: Tensor                    # final-layer states, one row per batch row
+    g_s: Tensor                       # n_graphs x d
+    g_e: Tensor                       # n_graphs x de
+    rep: Tensor                       # n_graphs x dp
+    node_attention: np.ndarray
     edge_attention: np.ndarray | None
-    empty: bool = False
+
+
+@dataclass(frozen=True)
+class LocalGraphRep:
+    """Readout of one day graph, read on access from row `index` of its
+    batch's `GraphReadout`, in the graph's own node and edge order.
+
+    A day with no events has no readout and reads as the learned empty-day
+    vector, so spans containing a silent day stay trainable.
+    """
+
+    readout: GraphReadout | None
+    index: int
+    empty_day: Tensor
+
+    @property
+    def empty(self) -> bool:
+        return self.readout is None
+
+    @property
+    def rep(self) -> Tensor:
+        """The dp-dimensional day representation."""
+        if self.empty:
+            return self.empty_day
+        return ag.gather_rows(self.readout.rep, self.index)
+
+    @property
+    def g_s(self) -> Tensor | None:
+        return None if self.empty else ag.constant(self.readout.g_s.data[self.index])
+
+    @property
+    def g_e(self) -> Tensor | None:
+        return None if self.empty else ag.constant(self.readout.g_e.data[self.index])
+
+    @property
+    def node_keys(self) -> list[tuple[str, str]]:
+        return [] if self.empty else self.readout.parts[self.index].node_keys
+
+    @property
+    def edge_keys(self) -> list[tuple[str, str, str, str, str]]:
+        if self.empty:
+            return []
+        dropped = self.readout.batch.dropped
+        return [key for key in self.readout.parts[self.index].edge_keys
+                if key[4] not in dropped]
+
+    @property
+    def node_rows(self) -> np.ndarray:
+        """The graph's rows in the batch, in canonical order."""
+        return self.readout.batch.graph_rows[self.index]
+
+    @property
+    def node_attention(self) -> np.ndarray | None:
+        return None if self.empty else self.readout.node_attention[self.node_rows]
+
+    @property
+    def edge_attention(self) -> np.ndarray | None:
+        if self.empty:
+            return None
+        lo, hi = self.readout.batch.edge_start[self.index:self.index + 2]
+        return self.readout.edge_attention[lo:hi] if hi > lo else None
+
+
+def graph_forward(parts: Sequence[GraphArrays], table: EmbeddingTable,
+                  params: GnnParams, config: TrainConfig) -> GraphReadout:
+    """Full readout of one or more non-empty day graphs, as one batch:
+    attributes -> m message passing layers -> pools -> rep."""
+    batch = batch_graphs(parts, config)
+    states = initial_states(batch, table)
+    for layer in params.layers:
+        states = message_passing_layer(states, batch, layer,
+                                       nonlinear=not config.linear_layers)
+
+    g_s, node_att = semantic_pool(states, params.node_query, batch.node_graph,
+                                  batch.n_graphs)
+    edge_vecs = edge_embeddings(states, batch, params.edge_proj)
+    if edge_vecs is None:
+        g_e = ag.constant(np.zeros((batch.n_graphs, config.de)))
+        edge_att = None
+    else:
+        g_e, edge_att = structural_pool(edge_vecs, g_s, params.edge_query_proj,
+                                        batch.edge_graph)
+    rep = ag.matmul_t(ag.concat([g_e, g_s], axis=1), params.rep_proj)
+    return GraphReadout(parts=parts, batch=batch, states=states, g_s=g_s, g_e=g_e,
+                        rep=rep, node_attention=node_att, edge_attention=edge_att)
 
 
 def local_graph_forward(graph: LocalContextGraph, table: EmbeddingTable,
                         params: GnnParams, config: TrainConfig) -> LocalGraphRep:
-    """Full readout: attributes -> m message passing layers -> pools -> rep.
-
-    Empty graphs (days with no events) return the learned empty-day vector so
-    spans containing a silent day stay trainable.
-    """
+    """Readout of one day graph: a batch of one, or the empty day."""
     if graph.is_empty():
-        return LocalGraphRep(rep=params.empty_day, g=None, g_s=None, g_e=None,
-                             node_states=None, node_keys=[], edge_keys=[],
-                             node_attention=None, edge_attention=None, empty=True)
-    arrays = graph.arrays
-    off = [kind for kind, on in ((HOMOGENEOUS, config.use_homogeneous),
-                                 (HETEROGENEOUS, config.use_heterogeneous)) if not on]
-    if off:
-        keep = ~np.isin(arrays.edge_kind, off)
-        arrays = replace(
-            arrays, src_idx=arrays.src_idx[keep], dst_idx=arrays.dst_idx[keep],
-            edge_kind=arrays.edge_kind[keep],
-            edge_keys=[k for k, kept in zip(arrays.edge_keys, keep) if kept],
-            adjacency={k: w for k, w in arrays.adjacency.items() if k not in off})
-    states = initial_states(arrays, table)
-    for layer in params.layers:
-        states = message_passing_layer(states, arrays, layer,
-                                       nonlinear=not config.linear_layers)
-
-    g_s, node_att = semantic_pool(states, params.node_query)
-    edge_vecs = edge_embeddings(states, arrays, params.edge_proj)
-    if edge_vecs is None:
-        g_e = ag.constant(np.zeros(config.de))
-        edge_att = None
-    else:
-        g_e, edge_att = structural_pool(edge_vecs, g_s, params.edge_query_proj)
-    g = ag.concat([g_e, g_s])
-    rep = ag.matmul(params.rep_proj, g)
-    return LocalGraphRep(rep=rep, g=g, g_s=g_s, g_e=g_e, node_states=states,
-                         node_keys=arrays.node_keys, edge_keys=arrays.edge_keys,
-                         node_attention=node_att, edge_attention=edge_att)
+        return LocalGraphRep(None, 0, params.empty_day)
+    return LocalGraphRep(graph_forward([graph.arrays], table, params, config), 0,
+                         params.empty_day)

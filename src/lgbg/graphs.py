@@ -47,22 +47,21 @@ class GraphEdge:
 class GraphArrays:
     """Index form of one day graph, rows in canonical (stream, concept) order.
 
-    Edges are ordered by (src, dst) row. Each adjacency is keyed by edge kind
-    and present only for kinds the graph has; row i holds node i's incoming
-    weights of that kind, normalized to sum to one.
+    Edges are ordered by (src, dst) row. An edge's `edge_weight` is its count
+    over the summed counts of its destination's incoming edges of the same
+    kind, so each node's incoming weights of one kind sum to one.
     """
 
     n: int
     node_keys: list[tuple[str, str]]
     embedding_index: np.ndarray                 # table row per node
     day_fraction: np.ndarray                    # n x 1: attribute / 24
-    blocks: list[tuple[str, int, int]]          # contiguous stream row ranges
+    stream_index: np.ndarray                    # position of each node's stream in STREAMS
     src_idx: np.ndarray
     dst_idx: np.ndarray
     edge_kind: np.ndarray
+    edge_weight: np.ndarray
     edge_keys: list[tuple[str, str, str, str, str]]  # (s_src, c_src, s_dst, c_dst, kind)
-    adjacency: dict[str, np.ndarray]
-    has_incoming: dict[str, tuple[bool, ...]]   # kind -> per block
 
 
 @dataclass
@@ -84,44 +83,29 @@ class LocalContextGraph:
                        key=lambda i: (self.nodes[i].stream, self.nodes[i].concept))
         remap = {old: new for new, old in enumerate(order)}
         nodes = [self.nodes[i] for i in order]
-        n = len(nodes)
         node_keys = [(nd.stream, nd.concept) for nd in nodes]
-
-        blocks = []
-        lo = 0
-        while lo < n:
-            hi = lo
-            while hi < n and nodes[hi].stream == nodes[lo].stream:
-                hi += 1
-            blocks.append((nodes[lo].stream, lo, hi))
-            lo = hi
 
         edges = sorted(self.edges, key=lambda e: (remap[e.src], remap[e.dst]))
         src = np.array([remap[e.src] for e in edges], dtype=np.intp)
         dst = np.array([remap[e.dst] for e in edges], dtype=np.intp)
-        adjacency = {}
-        for kind in (HOMOGENEOUS, HETEROGENEOUS):
-            sel = [e for e in edges if e.kind == kind]
-            if not sel:
-                continue
-            w = np.zeros((n, n))
-            for e in sel:
-                w[remap[e.dst], remap[e.src]] += e.weight
-            totals = w.sum(axis=1, keepdims=True)
-            np.divide(w, totals, out=w, where=totals > 0)
-            adjacency[kind] = w
+        heterogeneous = np.array([e.kind == HETEROGENEOUS for e in edges], dtype=np.intp)
+        weight = np.array([e.weight for e in edges], dtype=np.float64)
+        # Each edge's destination total of its kind, summed over 2 * dst + kind.
+        into = 2 * dst + heterogeneous
+        totals = np.bincount(into, weights=weight, minlength=2 * len(nodes))[into]
         return GraphArrays(
-            n=n, node_keys=node_keys,
+            n=len(nodes), node_keys=node_keys,
             embedding_index=np.array([nd.embedding_index for nd in nodes],
                                      dtype=np.intp),
             day_fraction=np.array([nd.attribute for nd in nodes])[:, None] / 24.0,
-            blocks=blocks, src_idx=src, dst_idx=dst,
+            stream_index=np.array([STREAMS.index(nd.stream) for nd in nodes],
+                                  dtype=np.intp),
+            src_idx=src, dst_idx=dst,
             edge_kind=np.array([e.kind for e in edges], dtype=str),
+            edge_weight=np.divide(weight, totals, out=np.zeros_like(weight),
+                                  where=totals > 0),
             edge_keys=[node_keys[s] + node_keys[t] + (e.kind,)
-                       for s, t, e in zip(src, dst, edges)],
-            adjacency=adjacency,
-            has_incoming={kind: tuple(bool(np.any(w[lo:hi])) for _, lo, hi in blocks)
-                          for kind, w in adjacency.items()})
+                       for s, t, e in zip(src, dst, edges)])
 
     def to_dict(self) -> dict:
         return {

@@ -2,25 +2,35 @@
 with versioned JSON checkpoints that embed the effective config, vocabulary
 digest and embedding table. Checkpoints are read through `lgbg.schema`:
 `config`, `embeddings` and `params` must be objects, and every stored array
-must be finite and fit the shape the config gives it."""
+must be finite and fit the shape the config gives it.
+
+Every caller forwards through `Model.forward_batch`: the distinct non-empty
+day graphs of a batch of samples go through the graph network together, as
+one disjoint union, and each sample's span of day representations then goes
+through temporal attention and the classifier. Training forwards one
+training batch at a time; untaped callers use `forward_all`, which forwards
+`batch_size` samples at a time, so a union never holds more than one batch.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import autograd as ag
 from .autograd import Tensor
 from .config import TrainConfig, config_from_dict
 from .embeddings import EmbeddingTable
 from .errors import ParseError, ValidationError
-from .gnn import GnnParams, LocalGraphRep, local_graph_forward
+from .gnn import GnnParams, LocalGraphRep, graph_forward
 from .graphs import GlobalSample
 from .schema import read_json, require, require_array
 from .streams import Vocabulary
-from .temporal import TemporalParams, classify, global_self_attention
+from .temporal import TemporalParams, classify, span_attention
 
 CHECKPOINT_FORMAT = 1
 
@@ -28,12 +38,23 @@ CHECKPOINT_FORMAT = 1
 @dataclass
 class SampleOutput:
     probs: Tensor                     # 4 class probabilities
-    g_star: Tensor
+    g_star: np.ndarray                # pooled representation
     day_reps: list[LocalGraphRep]
     day_attention: np.ndarray        # T x T
 
     def predicted(self) -> int:
         return int(np.argmax(self.probs.data))
+
+    def node_states(self) -> Tensor | None:
+        """Final node states of every non-empty day, day by day, each day's
+        in its canonical order. A day that two samples of a batch share is
+        computed once but counted once in each of them."""
+        days = [r for r in self.day_reps if not r.empty]
+        if not days:
+            return None
+        # Every day of a sample is in the readout of the sample's batch.
+        return ag.gather_rows(days[0].readout.states,
+                              np.concatenate([r.node_rows for r in days]))
 
     def attention_export(self) -> dict:
         """Attention weights in the documented inspection layout."""
@@ -75,22 +96,39 @@ class Model:
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
 
+    def forward_batch(self, samples: Sequence[GlobalSample]) -> list[SampleOutput]:
+        """One output per sample. Each distinct day graph (by identity) is
+        forwarded once, all of them in one union, and every span through
+        temporal attention and the classifier together."""
+        graphs = list({id(g): g for s in samples for g in s.graphs
+                       if not g.is_empty()}.values())
+        index = {id(g): k for k, g in enumerate(graphs)}
+        readout = None
+        day_table = ag.stack_rows([self.gnn.empty_day])
+        if graphs:
+            readout = graph_forward([g.arrays for g in graphs], self.table,
+                                    self.gnn, self.config)
+            day_table = ag.concat([readout.rep, day_table], axis=0)
+        # Row k of day_table is days[k]; the last row is the empty day.
+        days = [LocalGraphRep(readout, k, self.gnn.empty_day) for k in range(len(graphs))]
+        days.append(LocalGraphRep(None, 0, self.gnn.empty_day))
+        rows = [[index.get(id(g), len(graphs)) for g in s.graphs] for s in samples]
+        g_star, attention = span_attention(ag.gather_rows(day_table, np.concatenate(rows)),
+                                           [len(r) for r in rows], self.temporal,
+                                           self.config)
+        probs = classify(g_star, self.temporal)
+        return [SampleOutput(probs=ag.gather_rows(probs, b), g_star=g_star.data[b],
+                             day_reps=[days[k] for k in r], day_attention=attention[b])
+                for b, r in enumerate(rows)]
+
     def forward(self, sample: GlobalSample) -> SampleOutput:
-        day_reps = [local_graph_forward(g, self.table, self.gnn, self.config)
-                    for g in sample.graphs]
-        pooled = global_self_attention([r.rep for r in day_reps],
-                                       self.temporal, self.config)
-        probs = classify(pooled.g_star, self.temporal)
-        return SampleOutput(probs=probs, g_star=pooled.g_star, day_reps=day_reps,
-                            day_attention=pooled.day_attention)
+        return self.forward_batch([sample])[0]
 
-    def predict(self, sample: GlobalSample) -> int:
-        """Class prediction without recording gradients."""
-        return self.forward(sample).predicted()
-
-    def representation(self, sample: GlobalSample) -> np.ndarray:
-        """Frozen g* extraction for representation-reuse applications."""
-        return self.forward(sample).g_star.data.copy()
+    def forward_all(self, samples: Sequence[GlobalSample]) -> Iterator[SampleOutput]:
+        """Outputs of any number of samples, forwarded `batch_size` at a time."""
+        step = self.config.batch_size
+        for lo in range(0, len(samples), step):
+            yield from self.forward_batch(samples[lo:lo + step])
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.named_parameters().items()}

@@ -3,18 +3,24 @@
 Pairwise scores f(g_i, g_j) = [W_q(g_i+p_i)]^T [W_p(g_j+p_j)] are scaled by
 sqrt(dp) and row-softmaxed; each day's attended vector g'_i = sum_j y_ij W_g g_j,
 and the summed g* feeds a single fully-connected softmax classifier.
+
+A batch of spans is one matrix of day rows, span after span. Each day
+attends to the days of its own span only: the (i, j) pairs of every span are
+listed once, and one segment softmax per query day normalizes them, so a
+batch costs the same few ops whatever the number of spans in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
 from .config import TrainConfig
-from .errors import ValidationError
+from .errors import DimensionError, ValidationError
 
 N_CLASSES = 4
 
@@ -65,25 +71,53 @@ class GlobalRep:
     day_attention: np.ndarray    # T x T row-stochastic matrix
 
 
-def global_self_attention(reps: list[Tensor], params: TemporalParams,
-                          config: TrainConfig) -> GlobalRep:
-    """Fuse T day representations into g* with scaled dot-product attention."""
-    t = len(reps)
-    if t < 1:
-        raise ValidationError("need at least one day representation")
-    g = ag.stack_rows(reps)
-    gp = ag.add(g, ag.constant(params.positions[:t]))
+def span_attention(days: Tensor, spans: Sequence[int], params: TemporalParams,
+                   config: TrainConfig) -> tuple[Tensor, list[np.ndarray]]:
+    """Fuse each span's day representations into its g* with scaled
+    dot-product attention. `days` holds spans[b] rows for span b, span after
+    span; returns g* with one row per span and each span's T x T attention."""
+    spans = np.asarray(spans, dtype=np.intp)
+    if spans.size < 1 or spans.min() < 1:
+        raise ValidationError("need at least one day representation per span")
+    if spans.max() > params.positions.shape[0]:
+        raise DimensionError(f"span of {spans.max()} days exceeds the "
+                             f"{params.positions.shape[0]} positions")
+    start = np.cumsum(spans) - spans                 # first row of each span
+    position = np.arange(spans.sum()) - np.repeat(start, spans)
+    # Every (query i, key j) pair within a span, span by span, i-major.
+    pairs = spans * spans
+    pair_span = np.repeat(np.arange(spans.size), pairs)
+    pair = np.arange(pair_span.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    query = start[pair_span] + pair // spans[pair_span]
+    key = start[pair_span] + pair % spans[pair_span]
+
+    gp = ag.add(days, ag.constant(params.positions[position]))
     q = ag.matmul_t(gp, params.query_proj)
     k = ag.matmul_t(gp, params.key_proj)
-    scores = ag.mul(ag.matmul_t(q, k), 1.0 / np.sqrt(config.dp))
-    gamma = ag.softmax_rows(scores)
-    values = ag.matmul_t(g, params.value_proj)
-    attended = ag.matmul(gamma, values)
-    g_star = ag.col_sum(attended)
-    return GlobalRep(g_star=g_star, day_attention=gamma.data.copy())
+    scores = ag.mul(ag.row_dot(ag.gather_rows(q, query), ag.gather_rows(k, key)),
+                    1.0 / np.sqrt(config.dp))
+    gamma = ag.segment_softmax(scores, query, position.size)
+    values = ag.matmul_t(days, params.value_proj)
+    # g* sums every attended row of the span: sum_i sum_j y_ij W_g g_j.
+    g_star = ag.segment_sum(values, pair_span, spans.size, weights=gamma, rows=key)
+    attention = [a.reshape(t, t) for a, t in
+                 zip(np.split(gamma.data, np.cumsum(pairs)[:-1]), spans.tolist())]
+    return g_star, attention
+
+
+def global_self_attention(reps: list[Tensor], params: TemporalParams,
+                          config: TrainConfig) -> GlobalRep:
+    """Fuse one span of T day representations into g*: a span batch of one."""
+    if not reps:
+        raise ValidationError("need at least one day representation")
+    g_star, attention = span_attention(ag.stack_rows(reps), [len(reps)], params, config)
+    return GlobalRep(g_star=ag.gather_rows(g_star, 0), day_attention=attention[0])
 
 
 def classify(g_star: Tensor, params: TemporalParams) -> Tensor:
-    """Class probabilities from the pooled representation."""
-    logits = ag.add(ag.matmul(params.class_weights, g_star), params.class_bias)
-    return ag.softmax(logits)
+    """Class probabilities from pooled representations: one row per row of
+    `g_star`, or one vector for a vector."""
+    if g_star.data.ndim == 1:
+        return ag.gather_rows(classify(ag.stack_rows([g_star]), params), 0)
+    bias = ag.stack_rows([params.class_bias] * g_star.data.shape[0])
+    return ag.softmax_rows(ag.add(ag.matmul_t(g_star, params.class_weights), bias))

@@ -39,16 +39,9 @@ def cross_entropy(probs: list[Tensor], labels: list[int]) -> Tensor:
     global _clamp_warnings
     if len(probs) != len(labels) or not probs:
         raise ValidationError("probabilities and labels must pair up")
-    terms = []
-    for p, y in zip(probs, labels):
-        picked = ag.pick(p, y)
-        if picked.data <= PROB_FLOOR:
-            _clamp_warnings += 1
-        terms.append(ag.neg(ag.log(ag.clamp_min(picked, PROB_FLOOR))))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ag.add(acc, t)
-    return ag.mul(acc, 1.0 / len(terms))
+    picked = ag.pick(ag.stack_rows(probs), (np.arange(len(labels)), np.asarray(labels)))
+    _clamp_warnings += int(np.count_nonzero(picked.data <= PROB_FLOOR))
+    return ag.mean(ag.neg(ag.log(ag.clamp_min(picked, PROB_FLOOR))))
 
 
 def node_variance_loss(state_matrices: list[Tensor]) -> Tensor:
@@ -70,7 +63,7 @@ def total_loss(outputs: list[SampleOutput], labels: list[int],
                lam: float) -> Tensor:
     """Classification loss plus lambda times the node variance constraint."""
     ce = cross_entropy([o.probs for o in outputs], labels)
-    states = [rep.node_states for o in outputs for rep in o.day_reps]
+    states = [o.node_states() for o in outputs]
     return ag.add(ce, ag.mul(node_variance_loss(states), lam))
 
 
@@ -93,8 +86,7 @@ class TrainResult:
 def _batch_eval(model: Model, samples: list[GlobalSample]) -> tuple[float, float]:
     """(mean cross-entropy, accuracy) without gradient recording."""
     losses, correct = [], 0
-    for s in samples:
-        out = model.forward(s)
+    for s, out in zip(samples, model.forward_all(samples)):
         p = max(float(out.probs.data[s.label]), PROB_FLOOR)
         losses.append(-np.log(p))
         correct += int(out.predicted() == s.label)
@@ -117,7 +109,8 @@ def train(samples: list[GlobalSample], config: TrainConfig, table: EmbeddingTabl
 
     n = len(samples)
     perm = rng.permutation(n)
-    val_n = max(1, int(round(n * config.val_fraction))) if n >= 8 else 0
+    # At least one sample is held out once there are 8, and one is trained on.
+    val_n = min(n - 1, max(1, int(round(n * config.val_fraction)))) if n >= 8 else 0
     val_idx = perm[:val_n]
     train_idx = perm[val_n:]
     val_set = [samples[i] for i in val_idx]
@@ -135,7 +128,7 @@ def train(samples: list[GlobalSample], config: TrainConfig, table: EmbeddingTabl
             optimizer.zero_grad()
             try:
                 with Tape() as tape:
-                    outputs = [model.forward(s) for s in batch]
+                    outputs = model.forward_batch(batch)
                     loss = total_loss(outputs, labels, config.lam)
                 value = loss.item()
                 if not np.isfinite(value):
@@ -185,7 +178,7 @@ def evaluate(model: Model, samples: list[GlobalSample], task: str = "") -> EvalR
     if not samples:
         raise ValidationError("no samples to evaluate")
     y_true = [s.label for s in samples]
-    y_pred = [model.predict(s) for s in samples]
+    y_pred = [out.predicted() for out in model.forward_all(samples)]
     return classification_report(y_true, y_pred, task=task)
 
 
@@ -256,7 +249,7 @@ def grade_regression(model: Model, cohort: list[tuple[str, dict, float]],
         anchors = {d: 0 for d in range(config.span - 1, n_days)}
         windows = build_samples(streams, anchors, config.span, vocab, model.table,
                                 subject=subject, day_origin=config.day_origin)
-        reps = np.stack([model.representation(s) for s in windows])
+        reps = np.stack([out.g_star for out in model.forward_all(windows)])
         graph_feats.append(reps.mean(axis=0))
         hand = np.zeros(FEATURE_DIM)
         for window in day_windows(streams, config.day_origin, n_days):

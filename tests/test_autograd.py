@@ -187,12 +187,23 @@ OPS = [
     ("col_mean", ag.col_mean, 1, (4, 3)),
     ("rows", lambda a: ag.rows(a, 1, 3), 1, (4, 3)),
     ("pick", lambda a: ag.pick(a, 2), 1, (5,)),
+    ("pick_elements", lambda a: ag.pick(a, ([0, 2, 2], [1, 0, 1])), 1, (4, 3)),
     ("stack", lambda a, b: ag.stack_rows([a, b]), 2, (3,)),
     ("concat0", lambda a, b: ag.concat([a, b], axis=0), 2, (2, 3)),
     ("concat1", lambda a, b: ag.concat([a, b], axis=1), 2, (2, 3)),
     ("matmul_t", lambda a, b: ag.matmul_t(a, b), 2, (4, 3)),
     ("sub_rowvec", lambda a: ag.sub_rowvec(a, ag.constant([1.0, -2.0, 0.5])), 1, (4, 3)),
     ("gather", lambda a: ag.gather_rows(a, [0, 2, 2, 1]), 1, (4, 3)),
+    ("gather_one_row", lambda a: ag.gather_rows(a, 2), 1, (4, 3)),
+    ("cols", lambda a: ag.cols(a, 1, 3), 1, (4, 3)),
+    ("row_dot", ag.row_dot, 2, (4, 3)),
+    ("segment_sum", lambda a: ag.segment_sum(a, [0, 2, 0, 1], 4), 1, (4, 3)),
+    ("segment_sum_gathered", lambda a: ag.segment_sum(
+        a, [1, 1, 0, 1, 0], 3, weights=np.array([0.5, -2.0, 1.5, 0.25, 1.0]),
+        rows=[3, 0, 3, 2, 2]), 1, (4, 3)),
+    ("segment_sum_weighted", lambda a, b: ag.segment_sum(
+        a, [0, 1, 0, 1], 2, weights=ag.col_sum(b)), 2, (4, 4)),
+    ("segment_softmax", lambda a: ag.segment_softmax(a, [0, 1, 0, 3, 0, 1], 4), 1, (6,)),
     ("softmax_rows", ag.softmax_rows, 1, (4, 3)),
     ("clamp_min", lambda a: ag.clamp_min(a, 0.5), 1, (4, 3)),
 ]
@@ -217,17 +228,6 @@ def test_log_and_clamp_gradient():
         return ag.total(ag.log(ag.clamp_min(x, 1.0)))
 
     assert ag.finite_diff_check(f, [x], eps=1e-6) < 1e-5
-
-
-def test_const_matmul_gradient():
-    rng = np.random.default_rng(5)
-    c = rng.uniform(-1, 1, (4, 4))
-    x = ag.parameter(rng.uniform(-1, 1, (4, 3)))
-
-    def f():
-        return ag.total(ag.tanh(ag.const_matmul(c, x)))
-
-    assert ag.finite_diff_check(f, [x], eps=1e-5) < 1e-6
 
 
 # ---------------------------------------------------------------------------

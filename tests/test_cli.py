@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +137,26 @@ def test_train_writes_artifacts(synth_dir, tmp_path):
     config = json.loads((out / "config.json").read_text())
     assert config["epochs"] == 2
     Model.load(out / "checkpoint.json")  # parses and validates
+
+
+def test_train_val_fraction_near_one_keeps_a_training_sample(tmp_path):
+    data = tmp_path / "data"
+    spec = write_spec(tmp_path / "spec.json", subjects=6, days=8)
+    assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+    dataset = load_dataset(data)
+    table = EmbeddingTable.fallback(dataset.vocab, 8, 0)
+    assert len(dataset.samples(3, table)) == 36
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"val_fraction": 0.99}))
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     "--config", str(config)] + FAST)
+    assert code == 0
+    rows = (out / "history.csv").read_text().splitlines()[1:]
+    assert rows
+    assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
 
 
 def test_train_zero_layers_runs(synth_dir, tmp_path):
@@ -294,6 +316,19 @@ def test_gradcheck_passes(capsys):
     assert "gnn.layer0.activity.self" in out  # per-group reporting
 
 
+def test_gradcheck_forwards_its_batch_as_one_union(monkeypatch):
+    from lgbg import cli, model
+
+    calls = []
+    forward = model.graph_forward
+    monkeypatch.setattr(model, "graph_forward",
+                        lambda parts, *a: calls.append(len(parts)) or forward(parts, *a))
+    _, loss_fn = cli._gradcheck_setup(0)
+    loss_fn()
+    # Two 3-day spans one day apart: 4 distinct days, the 2 shared ones once.
+    assert calls == [4]
+
+
 def test_gradcheck_corrupted_gradient_fails(capsys):
     assert main(["gradcheck", "--seed", "0", "--corrupt"]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -367,6 +402,12 @@ PROBES = [
     ("config-val-fraction-2", "config", _set(val_fraction=2.0), "eval"),
     ("config-patience-negative", "config", _set(patience=-3), "eval"),
     ("config-knn-k-0", "config", _set(knn_k=0), "eval"),
+    ("config-d-513", "config", _set(d=513), "eval"),
+    ("config-de-513", "config", _set(de=513), "eval"),
+    ("config-dp-513", "config", _set(dp=513), "eval"),
+    ("config-layers-9", "config", _set(layers=9), "eval"),
+    ("config-span-65", "config", _set(span=65), "eval"),
+    ("config-batch-size-1025", "config", _set(batch_size=1025), "eval"),
     ("checkpoint-no-params", "checkpoint", _drop("params"), "eval"),
     ("checkpoint-no-embeddings", "checkpoint", _drop("embeddings"), "eval"),
     ("checkpoint-config-int", "checkpoint", _set(config=5), "eval"),

@@ -6,11 +6,14 @@ import numpy as np
 from lgbg import autograd as ag
 from lgbg.config import TrainConfig
 from lgbg.embeddings import EmbeddingTable
-from lgbg.gnn import (GnnParams, edge_embeddings, initial_states, local_graph_forward,
-                      message_passing_layer, semantic_pool, structural_pool)
-from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GraphEdge, LocalContextGraph,
-                         build_local_graph)
+from lgbg.gnn import (GnnParams, batch_graphs, edge_embeddings, initial_states,
+                      local_graph_forward, message_passing_layer, semantic_pool,
+                      structural_pool)
+from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GlobalSample, GraphEdge,
+                         LocalContextGraph, build_local_graph)
+from lgbg.model import Model
 from lgbg.streams import ACTIVITY, AUDIO, LOCATION
+from lgbg.training import node_variance_loss
 
 from conftest import ev, one_day
 
@@ -89,7 +92,7 @@ def test_isolated_node_gets_self_term_only(vocab, small_table, small_config):
     graph = build_local_graph(one_day(streams), vocab, small_table)
     params = make_params(small_config)
     states = initial_states(graph.arrays, small_table)
-    compiled = graph.arrays
+    compiled = batch_graphs([graph.arrays], small_config)
     out = message_passing_layer(states, compiled, params.layers[0], nonlinear=False)
     expected = params.layers[0][ACTIVITY]["self"].data @ states.data[0]
     assert np.allclose(out.data[0], expected, atol=1e-12)
@@ -107,7 +110,7 @@ def test_single_edge_alpha_is_one_regardless_of_weight(vocab, small_table, small
         graph.edges = [GraphEdge(src=e.src, dst=e.dst, kind=e.kind, weight=weight)
                        for e in base.edges]
         states = initial_states(graph.arrays, small_table)
-        out = message_passing_layer(states, graph.arrays,
+        out = message_passing_layer(states, batch_graphs([graph.arrays], small_config),
                                     params.layers[0], nonlinear=False)
         results.append(out.data.copy())
     assert np.array_equal(results[0], results[1])
@@ -117,7 +120,7 @@ def test_message_passing_matches_dense_oracle(vocab, small_table, small_config):
     graph = mixed_graph(vocab, small_table)
     params = make_params(small_config, seed=5)
     states = initial_states(graph.arrays, small_table)
-    compiled = graph.arrays
+    compiled = batch_graphs([graph.arrays], small_config)
     for nonlinear in (False, True):
         got = message_passing_layer(states, compiled, params.layers[0], nonlinear)
         want = dense_layer_oracle(states.data, graph, params.layers[0], nonlinear)
@@ -128,7 +131,7 @@ def test_two_layers_match_dense_oracle(vocab, small_table, small_config):
     graph = mixed_graph(vocab, small_table)
     params = make_params(small_config, seed=6)
     states = initial_states(graph.arrays, small_table)
-    compiled = graph.arrays
+    compiled = batch_graphs([graph.arrays], small_config)
     got = states
     want = states.data.copy()
     for layer in params.layers:
@@ -143,7 +146,7 @@ def test_two_layers_match_dense_oracle(vocab, small_table, small_config):
 
 def test_edge_projection_picks_first_half(vocab, small_table, small_config):
     graph = mixed_graph(vocab, small_table)
-    compiled = graph.arrays
+    compiled = batch_graphs([graph.arrays], small_config)
     d = small_config.d
     w = ag.constant(np.hstack([np.eye(d), np.zeros((d, d))]))
     states = initial_states(graph.arrays, small_table)
@@ -153,7 +156,7 @@ def test_edge_projection_picks_first_half(vocab, small_table, small_config):
 
 def test_zero_states_zero_edges(vocab, small_table, small_config):
     graph = mixed_graph(vocab, small_table)
-    compiled = graph.arrays
+    compiled = batch_graphs([graph.arrays], small_config)
     params = make_params(small_config)
     states = ag.constant(np.zeros((compiled.n, small_config.d)))
     vecs = edge_embeddings(states, compiled, params.edge_proj)
@@ -162,7 +165,7 @@ def test_zero_states_zero_edges(vocab, small_table, small_config):
 
 def test_edge_embeddings_are_direction_sensitive(vocab, small_table, small_config):
     graph = mixed_graph(vocab, small_table)
-    compiled = graph.arrays
+    compiled = batch_graphs([graph.arrays], small_config)
     params = make_params(small_config, seed=9)
     states = initial_states(graph.arrays, small_table)
     vecs = edge_embeddings(states, compiled, params.edge_proj)
@@ -369,3 +372,64 @@ def test_full_forward_matches_oracle_and_golden(vocab, small_table, small_config
 
     golden = json.loads((DATA / "golden_forward.json").read_text())
     assert np.allclose(rep.rep.data, golden["rep"], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# batched forward
+
+
+def invariance_samples(vocab, table):
+    """Spans over a shared pool of day graphs: both edge kinds, edgeless,
+    empty, and a day repeated within one span."""
+    mixed = mixed_graph(vocab, table)
+    edgeless = build_local_graph(one_day({ACTIVITY: [ev(ACTIVITY, "walking", 0, 7200)]}),
+                                 vocab, table)
+    chatter = build_local_graph(one_day(
+        {AUDIO: [ev(AUDIO, "voice", 0, 3600), ev(AUDIO, "silence", 3600, 7200),
+                 ev(AUDIO, "voice", 7200, 9000)]}), vocab, table)
+    empty = LocalContextGraph(day_index=0)
+    spans = [[mixed, empty, edgeless], [empty, edgeless, chatter],
+             [chatter, mixed, mixed], [empty, empty, empty]]
+    return [GlobalSample(graphs=g, label=i % 4, subject="s", anchor_day=i)
+            for i, g in enumerate(spans)]
+
+
+def test_sample_output_does_not_depend_on_its_batch(vocab, small_table, small_config):
+    samples = invariance_samples(vocab, small_table)
+    batches = [samples, samples[::-1], [samples[2]], [samples[3], samples[0]],
+               [samples[1], samples[1]]]
+    for config in (small_config, small_config.replace(use_homogeneous=False),
+                   small_config.replace(use_heterogeneous=False),
+                   small_config.replace(use_homogeneous=False, use_heterogeneous=False)):
+        model = Model(config, small_table, "")
+        alone = {id(s): model.forward(s) for s in samples}
+        for batch in batches:
+            for s, out in zip(batch, model.forward_batch(batch)):
+                want = alone[id(s)]
+                assert np.max(np.abs(out.probs.data - want.probs.data)) <= 1e-12
+                assert np.max(np.abs(out.day_attention - want.day_attention)) <= 1e-12
+                for got_day, want_day in zip(out.day_reps, want.day_reps):
+                    assert got_day.edge_keys == want_day.edge_keys
+                    assert all((key[4] == HOMOGENEOUS and config.use_homogeneous) or
+                               (key[4] == HETEROGENEOUS and config.use_heterogeneous)
+                               for key in got_day.edge_keys)
+                    assert (got_day.edge_attention is None) == (want_day.edge_attention is None)
+                    assert len(got_day.edge_keys) == (0 if got_day.edge_attention is None
+                                                      else len(got_day.edge_attention))
+
+
+def test_node_variance_counts_a_shared_day_once_per_sample(vocab, small_table,
+                                                           small_config):
+    samples = invariance_samples(vocab, small_table)
+    batch = [samples[0], samples[2], samples[0], samples[3]]
+    model = Model(small_config, small_table, "")
+    outs = model.forward_batch(batch)
+    got = node_variance_loss([o.node_states() for o in outs]).item()
+
+    per_sample = [model.forward(s).node_states() for s in batch]
+    rows = np.concatenate([m.data for m in per_sample if m is not None])
+    assert rows.shape[0] == sum(
+        len(g.nodes) for s in batch for g in s.graphs)      # mixed counted 4 times
+    centered = rows - rows.mean(axis=0)
+    want = -1.0 / (1.0 + np.exp(-(centered ** 2).mean(axis=0).mean()))
+    assert abs(got - want) <= 1e-12
