@@ -550,7 +550,15 @@ def softmax_rows(z: Tensor) -> Tensor:
 
 
 class Adam:
-    """Bias-corrected adaptive moment optimizer; updates params in place."""
+    """Bias-corrected adaptive moment optimizer; updates params in place.
+
+    Its state is allocated once: four flat rows over every parameter, for
+    the moments `m` and `v` (`self.m[i]` and `self.v[i]` are parameter i's
+    views of them), the gathered gradient and one scratch row. A step is a
+    few whole-row operations, in the same order as the textbook
+    `p -= lr * (m / c1) / (sqrt(v / c2) + eps)`, so every parameter gets the
+    same bits as updating it alone.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -563,25 +571,40 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        self._slices = [(slice(a, b), p.data.shape)
+                        for a, b, p in zip(offsets, offsets[1:], self.params)]
+        self._rows = np.zeros((4, offsets[-1]))
+        self.m = [self._rows[0, s].reshape(shape) for s, shape in self._slices]
+        self.v = [self._rows[1, s].reshape(shape) for s, shape in self._slices]
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
     def step(self) -> None:
+        m, v, g, scratch = self._rows
+        for p, (s, shape) in zip(self.params, self._slices):
+            if p.grad.shape != shape:
+                raise DimensionError("gradient/parameter shape mismatch")
+            g[s] = p.grad.reshape(-1)
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g.shape != p.data.shape:
-                raise DimensionError("gradient/parameter shape mismatch")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(1.0 - self.beta1, g, out=scratch)
+        m *= self.beta1
+        m += scratch
+        g *= g
+        g *= 1.0 - self.beta2
+        v *= self.beta2
+        v += g
+        m_hat = np.divide(m, 1.0 - self.beta1 ** t, out=scratch)
+        v_hat = np.divide(v, 1.0 - self.beta2 ** t, out=g)
+        m_hat *= self.lr
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        m_hat /= v_hat
+        for p, (s, shape) in zip(self.params, self._slices):
+            p.data -= m_hat[s].reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import DimensionError, LgbgError, NumericError, ValidationError
 from .graphs import build_local_graph, dump_graph
 from .metrics import average_reports
 from .model import Model
+from .schema import write_text
 from .streams import Vocabulary, before_origin, day_span, day_windows, parse_event_log
 from .synth import ScenarioSpec, generate
 from .training import ProtocolResult, evaluate, run_protocol, split_protocol, train
@@ -100,6 +101,9 @@ def cmd_build_graph(args) -> int:
     table = _table_for(args, vocab, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # graphs.json is written last and marks a complete build, so a rebuild
+    # first drops the marker of the build it overwrites.
+    (out / "graphs.json").unlink(missing_ok=True)
     days = day_span(parsed.streams, config.day_origin)
     if days == 0:
         print("warning: no events after the day origin; nothing to build", file=sys.stderr)
@@ -111,8 +115,7 @@ def cmd_build_graph(args) -> int:
              "remapped_locations": parsed.remapped_locations,
              "deduplicated": parsed.deduplicated,
              "before_origin": before_origin(parsed.streams, config.day_origin)}
-    (out / "graphs.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n",
-                                     encoding="utf-8")
+    write_text(out / "graphs.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -126,12 +129,12 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result = train(samples, config, table, data.vocab.digest(), dump_dir=out)
     result.model.save(out / "checkpoint.json")
-    (out / "history.csv").write_text(result.history_csv(), encoding="utf-8")
+    write_text(out / "history.csv", result.history_csv())
     save_config(config, out / "config.json")
     report = evaluate(result.model, samples, task="train-set")
-    (out / "train_report.json").write_text(
-        json.dumps(report.row() | {"confusion": report.confusion}, indent=2,
-                   sort_keys=True) + "\n", encoding="utf-8")
+    write_text(out / "train_report.json",
+               json.dumps(report.row() | {"confusion": report.confusion}, indent=2,
+                          sort_keys=True) + "\n")
     print(f"trained on {len(samples)} samples; train-set accuracy "
           f"{report.accuracy:.4f}; checkpoint at {out / 'checkpoint.json'}")
     return 0
@@ -159,9 +162,8 @@ def cmd_eval(args) -> int:
     csv = protocol.metrics_csv()
     rows = [r.row() | {"confusion": r.confusion}
             for r in protocol.reports + [protocol.average]]
-    (out / "metrics.csv").write_text(csv, encoding="utf-8")
-    (out / "metrics.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n",
-                                      encoding="utf-8")
+    write_text(out / "metrics.csv", csv)
+    write_text(out / "metrics.json", json.dumps(rows, indent=2, sort_keys=True) + "\n")
     save_config(config, out / "config.json")
     print(csv, end="")
     return 0
@@ -194,8 +196,7 @@ def cmd_inspect(args) -> int:
            "predicted": out.predicted(),
            "probabilities": [float(p) for p in out.probs.data]}
     doc.update(out.attention_export())
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+    write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote attention export to {args.out}")
     return 0
 

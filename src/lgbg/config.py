@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .errors import ValidationError
-from .schema import build, read_json
+from .schema import build, read_json, write_text
 
 # Largest accepted model and run sizes. They bound the memory of one batch's
 # graph union and its tape, so an oversized config exits 2 before allocating.
@@ -96,5 +95,4 @@ def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
 
 
 def save_config(config: TrainConfig, path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_text(path, json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ParseError
 from .graphs import GlobalSample, build_samples
-from .schema import read_json, require
+from .schema import read_json, require, write_text
 from .streams import (ConceptEvent, Vocabulary, parse_event_log, write_event_log)
 from .synth import SynthDataset
 
@@ -68,8 +68,7 @@ def write_dataset(dataset: SynthDataset, out_dir) -> Path:
         subjects.append(entry)
     manifest = {"format": 1, "day_origin": 0, "scenario": dataset.spec.to_dict(),
                 "subjects": subjects}
-    (out / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                encoding="utf-8")
+    write_text(out / MANIFEST, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return out
 
 

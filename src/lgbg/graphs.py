@@ -10,14 +10,14 @@ stored as two directed edges of equal weight.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
 from .errors import ValidationError
+from .schema import write_text
 from .streams import (STREAMS, ConceptEvent, DayWindow, Vocabulary, day_windows,
                       sort_events)
 
@@ -117,8 +117,24 @@ class LocalContextGraph:
         }
 
     def dump_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ": "),
-                          indent=1)
+        """`json.dumps(self.to_dict(), sort_keys=True, separators=(",", ": "),
+        indent=1)`, formatted straight from this fixed schema: strings and
+        numbers as `json` writes them, without its pure-Python indenting
+        encoder. Attributes must be finite floats."""
+        edges = [_EDGE % (int.__repr__(e.dst), _string(e.kind), int.__repr__(e.src),
+                          int.__repr__(e.weight)) for e in self.edges]
+        nodes = [_NODE % (float.__repr__(n.attribute), _string(n.concept), _string(n.stream))
+                 for n in self.nodes]
+        return (f'{{\n "day_index": {int.__repr__(self.day_index)},\n'
+                f' "edges": {_list(edges)},\n "nodes": {_list(nodes)}\n}}')
+
+
+_EDGE = '  {\n   "dst": %s,\n   "kind": %s,\n   "src": %s,\n   "weight": %s\n  }'
+_NODE = '  {\n   "attribute": %s,\n   "concept": %s,\n   "stream": %s\n  }'
+
+
+def _list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
 
 
 @dataclass
@@ -235,4 +251,4 @@ def quantize_pam(score: int) -> int:
 
 
 def dump_graph(graph: LocalContextGraph, path) -> None:
-    Path(path).write_text(graph.dump_json() + "\n", encoding="utf-8")
+    write_text(path, graph.dump_json() + "\n")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ from .embeddings import EmbeddingTable
 from .errors import ParseError, ValidationError
 from .gnn import GnnParams, LocalGraphRep, graph_forward
 from .graphs import GlobalSample
-from .schema import read_json, require, require_array
+from .schema import read_json, require, require_array, write_text
 from .streams import Vocabulary
 from .temporal import TemporalParams, classify, span_attention
 
@@ -152,7 +151,7 @@ class Model:
             },
             "params": params,
         }
-        Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+        write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path, vocab: Vocabulary | None = None) -> "Model":

@@ -1,4 +1,5 @@
-"""The one reader for files that come from outside the program.
+"""The one reader for files that come from outside the program, and the one
+writer for every file the program makes.
 
 Every JSON input -- dataset manifest, vocabulary, config, scenario spec and
 checkpoint -- is read with `read_json`; event logs (`read_lines`) and
@@ -15,12 +16,17 @@ Each fault raises one error, which the CLI reports with exit code 2:
   counts as an int or a float, and a number must be finite, so JSON
   `NaN`/`Infinity` and overflowing literals such as `1e999` are rejected;
 * a key that names no field of the record being built: `ValidationError`.
+
+Every output file is written with `write_text`, which replaces the file
+atomically: a reader sees its old bytes or its new ones, never a part.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import typing
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -141,3 +147,24 @@ def build(cls, values: dict, what: str):
         if f.name in values or f.default is MISSING and f.default_factory is MISSING:
             require(values, f.name, hints[f.name])
     return cls(**values)
+
+
+def write_text(path, text: str) -> None:
+    """Replace the file at `path` with the UTF-8 `text`, atomically.
+
+    The text goes to a temp file in the same directory, which `os.replace`
+    then moves over `path`. If anything fails, the temp file is removed and
+    the error re-raised, so `path` keeps its old bytes, or stays absent. No
+    `fsync` is made: this guards against a failed or interrupted run, not a
+    crash of the machine.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise

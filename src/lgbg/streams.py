@@ -20,12 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, ValidationError, VocabularyError
-from .schema import read_json, read_lines, require
+from .schema import read_json, read_lines, require, write_text
 
 ACTIVITY = "activity"
 AUDIO = "audio"
@@ -103,7 +102,7 @@ class Vocabulary:
                ACTIVITY: list(ACTIVITY_CONCEPTS),
                AUDIO: list(AUDIO_CONCEPTS),
                LOCATION: list(self.locations)}
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        write_text(path, json.dumps(doc, indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -216,7 +215,7 @@ def write_event_log(path, streams: dict[str, list[ConceptEvent]]) -> None:
             lines.append(json.dumps(
                 {"stream": e.stream, "concept": e.concept, "start": e.start, "end": e.end},
                 sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass

@@ -17,6 +17,7 @@ from .graphs import GlobalSample, build_samples
 from .metrics import (EvalReport, GradeReport, average_reports,
                       classification_report, grade_report, knn_regress_loo)
 from .model import Model, SampleOutput
+from .schema import write_text
 from .streams import FEATURE_DIM, Vocabulary, behavior_feature, day_span, day_windows
 
 PROB_FLOOR = 1e-12
@@ -170,8 +171,7 @@ def _dump_bad_batch(batch, epoch, message, dump_dir) -> None:
     doc = {"epoch": epoch, "message": message,
            "batch": [{"subject": s.subject, "anchor_day": s.anchor_day,
                       "label": s.label} for s in batch]}
-    Path(dump_dir, "nan_batch.json").write_text(json.dumps(doc, indent=2) + "\n",
-                                                encoding="utf-8")
+    write_text(Path(dump_dir, "nan_batch.json"), json.dumps(doc, indent=2) + "\n")
 
 
 def evaluate(model: Model, samples: list[GlobalSample], task: str = "") -> EvalReport:

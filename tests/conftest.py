@@ -11,6 +11,8 @@ from lgbg.streams import ConceptEvent, DayWindow, Vocabulary, day_windows
 # Mutated input files driven through the CLI (tests/test_cli.py): the same
 # examples on every run, each a few CLI calls long.
 settings.register_profile("input-fuzz", derandomize=True, deadline=None, max_examples=1000)
+# Pure functions checked against a reference: the same examples on every run.
+settings.register_profile("derandomized", derandomize=True, deadline=None, max_examples=300)
 
 
 @pytest.fixture

@@ -306,3 +306,26 @@ def test_adam_deterministic():
         return p.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+def test_adam_in_place_matches_out_of_place_formula():
+    rng = np.random.default_rng(11)
+    params = [ag.parameter(rng.normal(size=(3, 4))), ag.parameter(rng.normal(size=5))]
+    opt = Adam(params, lr=0.01)
+    moments = [(m, v) for m, v in zip(opt.m, opt.v)]
+    ref = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+    b1, b2, lr, eps = opt.beta1, opt.beta2, opt.lr, opt.eps
+    for t in range(1, 8):
+        for i, p in enumerate(params):
+            p.grad[...] = rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-4, 3)
+            data, m, v = ref[i]
+            m = b1 * m + (1.0 - b1) * p.grad
+            v = b2 * v + (1.0 - b2) * (p.grad * p.grad)
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            ref[i] = (data - lr * m_hat / (np.sqrt(v_hat) + eps), m, v)
+        opt.step()
+        for p, (m, v), (data, m_ref, v_ref) in zip(params, moments, ref):
+            assert np.array_equal(p.data, data)
+            assert np.array_equal(m, m_ref) and np.array_equal(v, v_ref)
+    assert all(m is m_i and v is v_i for (m, v), m_i, v_i in zip(moments, opt.m, opt.v))

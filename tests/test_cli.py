@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgbg import schema
 from lgbg.cli import main
 from lgbg.config import TrainConfig
 from lgbg.dataset import load_dataset, write_dataset
@@ -101,6 +104,89 @@ def test_build_graph_idempotent(tmp_path):
     first = (out / "day_00000.json").read_bytes()
     assert main(args) == 0
     assert (out / "day_00000.json").read_bytes() == first
+
+
+def _failing_replace(monkeypatch, after: int):
+    """Make `os.replace` raise ENOSPC once `after` calls have succeeded."""
+    real, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) > after:
+            raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return calls
+
+
+def test_build_graph_failure_leaves_no_index(tmp_path, capsys, monkeypatch):
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"format": 1}\n' + "".join(
+        f'{{"stream": "audio", "concept": "voice", "start": {d * 86400 + 100}, '
+        f'"end": {d * 86400 + 200}}}\n' for d in range(5)))
+    out = tmp_path / "graphs"
+    argv = ["build-graph", "--log", str(log), "--vocab", str(DATA / "toy_vocab.json"),
+            "--out", str(out)]
+    for before in ("fresh", "complete build"):
+        if before == "complete build":
+            monkeypatch.undo()
+            assert main(argv) == 0 and (out / "graphs.json").exists()
+        calls = _failing_replace(monkeypatch, after=3)
+        capsys.readouterr()
+        assert main(argv) == 2, before
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert len(calls) == 4
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"day_{d:05d}.json" for d in range(3 if before == "fresh" else 5)], before
+
+
+# ---------------------------------------------------------------------------
+# one writer for every output file
+
+
+@pytest.mark.parametrize("fails_in", ["write", "replace"])
+@pytest.mark.parametrize("old", [None, b"old bytes\n"])
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, fails_in, old):
+    target = tmp_path / "out.json"
+    if old is not None:
+        target.write_bytes(old)
+    if fails_in == "write":
+        real_open = open
+
+        class HalfWritten:
+            def __init__(self, path, *args, **kwargs):
+                self.fh = real_open(path, *args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(schema, "open", HalfWritten, raising=False)
+    else:
+        _failing_replace(monkeypatch, after=0)
+    with pytest.raises(OSError):
+        schema.write_text(target, "new text that is long enough\n" * 100)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["out.json"])
+    if old is not None:
+        assert target.read_bytes() == old
+
+
+def test_write_text_replaces_whole_file(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("a much longer old text\n" * 50)
+    schema.write_text(target, "caf\u00e9\n")
+    assert target.read_bytes() == "caf\u00e9\n".encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lgbg.errors import ValidationError
-from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, build_local_graph,
-                         build_samples, heterogeneous_edges, homogeneous_edges,
-                         quantize_pam)
+from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GraphEdge, GraphNode,
+                         LocalContextGraph, build_local_graph, build_samples,
+                         heterogeneous_edges, homogeneous_edges, quantize_pam)
 from lgbg.streams import ACTIVITY, AUDIO, LOCATION
 
 from conftest import ev, one_day, random_events
@@ -205,6 +209,34 @@ def test_sample_label_comes_from_anchor_day(vocab, small_table):
     samples = build_samples(streams, {2: 3}, 3, vocab, small_table)
     assert samples[0].label == 3
     assert samples[0].anchor_day == 2
+
+
+# ---------------------------------------------------------------------------
+# JSON dump
+
+NAMES = st.one_of(st.sampled_from([ACTIVITY, AUDIO, LOCATION, "caf\u00e9", 'a"b', "a\\b",
+                                   "\x00\x1f\n\t\x7f", "\u2028\U0001f600", ""]),
+                  st.text(max_size=6))
+ATTRIBUTES = st.one_of(st.sampled_from([1e-7, 1 / 3, 1e16, 5e-324, 2.0, 0.1 + 0.2]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+NODES = st.lists(st.builds(GraphNode, stream=NAMES, concept=NAMES, attribute=ATTRIBUTES,
+                           embedding_index=st.integers(0, 20)), max_size=6)
+EDGES = st.lists(st.builds(GraphEdge, src=st.integers(-1, 2 ** 40), dst=st.integers(0, 9),
+                           kind=st.one_of(st.sampled_from([HOMOGENEOUS, HETEROGENEOUS]),
+                                          NAMES),
+                           weight=st.integers(0, 10 ** 12)), max_size=6)
+
+
+@settings(settings.get_profile("derandomized"))
+@given(day=st.integers(0, 10 ** 6), nodes=NODES, edges=EDGES)
+@example(day=0, nodes=[], edges=[])
+@example(day=3, nodes=[GraphNode(AUDIO, '\u00e9"\\\x01', 1 / 3, 0)], edges=[])
+@example(day=3, nodes=[], edges=[GraphEdge(0, 1, HOMOGENEOUS, 2)])
+def test_dump_json_matches_json_dumps(day, nodes, edges):
+    graph = LocalContextGraph(day_index=day, nodes=nodes, edges=edges)
+    expected = json.dumps(graph.to_dict(), sort_keys=True, separators=(",", ": "),
+                          indent=1)
+    assert graph.dump_json() == expected
 
 
 # ---------------------------------------------------------------------------
