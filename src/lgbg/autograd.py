@@ -130,21 +130,6 @@ def add(a: Tensor, b) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"sub shapes differ: {a.data.shape} vs {b.data.shape}")
-    out, rec = _result(a.data - b.data, a, b)
-    if rec:
-        def bwd():
-            if a.requires_grad:
-                a.grad += out.grad
-            if b.requires_grad:
-                b.grad -= out.grad
-        _push(bwd)
-    return out
-
-
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product; `b` may be a python scalar."""
     if isinstance(b, (int, float)):
@@ -181,45 +166,21 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """`a @ b` for 1-D/2-D operands (vector·vector gives a scalar)."""
+    """Matrix-vector product `a @ b`."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise DimensionError("matmul supports 1-D and 2-D operands only")
-    if ad.shape[-1] != (bd.shape[0] if bd.ndim >= 1 else None):
-        raise DimensionError(f"matmul inner dims differ: {ad.shape} vs {bd.shape}")
+    if ad.ndim != 2 or bd.ndim != 1 or ad.shape[1] != bd.shape[0]:
+        raise DimensionError(f"matmul expects a matrix and a vector of its width, "
+                             f"got {ad.shape} vs {bd.shape}")
     out, rec = _result(ad @ bd, a, b)
     if rec:
         def bwd():
             g = out.grad
-            if ad.ndim == 2 and bd.ndim == 2:
-                if a.requires_grad:
-                    a.grad += g @ bd.T
-                if b.requires_grad:
-                    b.grad += ad.T @ g
-            elif ad.ndim == 2 and bd.ndim == 1:
-                if a.requires_grad:
-                    a.grad += np.outer(g, bd)
-                if b.requires_grad:
-                    b.grad += ad.T @ g
-            elif ad.ndim == 1 and bd.ndim == 2:
-                if a.requires_grad:
-                    a.grad += bd @ g
-                if b.requires_grad:
-                    b.grad += np.outer(ad, g)
-            else:
-                if a.requires_grad:
-                    a.grad += g * bd
-                if b.requires_grad:
-                    b.grad += g * ad
+            if a.requires_grad:
+                a.grad += np.outer(g, bd)
+            if b.requires_grad:
+                b.grad += ad.T @ g
         _push(bwd)
     return out
-
-
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """y = W·x with W of shape (d_out, d_in) and x of shape (d_in,)."""
-    if w.data.ndim != 2 or x.data.ndim != 1:
-        raise DimensionError("linear expects a matrix W and a vector x")
-    return matmul(w, x)
 
 
 def matmul_t(a: Tensor, b: Tensor) -> Tensor:
@@ -355,17 +316,6 @@ def mean(x: Tensor) -> Tensor:
     if rec:
         def bwd():
             x.grad += out.grad / n
-        _push(bwd)
-    return out
-
-
-def col_sum(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise DimensionError("col_sum expects a matrix")
-    out, rec = _result(x.data.sum(axis=0), x)
-    if rec:
-        def bwd():
-            x.grad += out.grad[None, :]
         _push(bwd)
     return out
 

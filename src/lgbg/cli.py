@@ -109,6 +109,11 @@ def cmd_build_graph(args) -> int:
         print("warning: no events after the day origin; nothing to build", file=sys.stderr)
     for d, window in enumerate(day_windows(parsed.streams, config.day_origin, days)):
         dump_graph(build_local_graph(window, vocab, table), out / f"day_{d:05d}.json")
+    # Day files of an earlier, longer build are stale once this build's are
+    # in; MAX_DAYS keeps every day index to five digits.
+    for path in out.glob("day_" + "[0-9]" * 5 + ".json"):
+        if int(path.name[4:9]) >= days:
+            path.unlink()
     spans = [list(range(d - config.span + 1, d + 1))
              for d in range(config.span - 1, days)]
     index = {"format": 1, "days": days, "span": config.span, "samples": spans,
@@ -148,8 +153,10 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.checkpoint:
         model = Model.load(args.checkpoint, vocab=data.vocab)
-        config = config.replace(**{k: getattr(model.config, k)
-                                   for k in ("d", "de", "dp", "layers", "span")})
+        # The echoed config is the one the checkpoint's model runs with.
+        config = config.replace(**{k: getattr(model.config, k) for k in (
+            "d", "de", "dp", "layers", "span", "use_homogeneous", "use_heterogeneous",
+            "linear_layers", "batch_size")})
         samples = data.samples(config.span, model.table)
         tasks = split_protocol(len(samples), config.splits, config.seed)
         reports = [evaluate(model, [samples[j] for j in test], task=f"task-{i + 1}")

@@ -32,4 +32,4 @@ class ValidationError(LgbgError):
 
 
 class EmbeddingError(LgbgError):
-    """A concept has no embedding and no fallback is enabled."""
+    """A concept has no row in the embedding table."""

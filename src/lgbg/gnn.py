@@ -203,34 +203,23 @@ def edge_embeddings(states: Tensor, batch: GraphBatch,
                   ag.gather_rows(from_dst, batch.dst_idx))
 
 
-def semantic_pool(states: Tensor, node_query: Tensor, graph_of: np.ndarray | None = None,
-                  n_graphs: int = 1) -> tuple[Tensor, np.ndarray]:
+def semantic_pool(states: Tensor, node_query: Tensor, graph_of: np.ndarray,
+                  n_graphs: int) -> tuple[Tensor, np.ndarray]:
     """Attention-weighted sum of node states per graph; also returns the weights.
 
     `graph_of` gives each row's graph, and the result has one row per graph.
-    Without it every row is one graph's and the result is that graph's vector.
     """
-    if graph_of is None:
-        pooled, beta = semantic_pool(states, node_query,
-                                     np.zeros(states.data.shape[0], dtype=np.intp))
-        return ag.gather_rows(pooled, 0), beta
     beta = ag.segment_softmax(ag.matmul(states, node_query), graph_of, n_graphs)
     return ag.segment_sum(states, graph_of, n_graphs, weights=beta), beta.data
 
 
 def structural_pool(edge_vectors: Tensor, g_s: Tensor, edge_query_proj: Tensor,
-                    edge_graph: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+                    edge_graph: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Attention-weighted sum of edge embeddings per graph, queried by that
     graph's semantic pool; also returns the weights.
 
     `edge_graph` gives each edge's graph, and `g_s` has one row per graph.
-    Without it every edge is one graph's, `g_s` is that graph's vector and so
-    is the result.
     """
-    if edge_graph is None:
-        pooled, beta = structural_pool(edge_vectors, ag.stack_rows([g_s]), edge_query_proj,
-                                       np.zeros(edge_vectors.data.shape[0], dtype=np.intp))
-        return ag.gather_rows(pooled, 0), beta
     n_graphs = g_s.data.shape[0]
     keys = ag.matmul_t(g_s, edge_query_proj)
     scores = ag.row_dot(edge_vectors, ag.gather_rows(keys, edge_graph))

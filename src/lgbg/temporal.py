@@ -12,7 +12,6 @@ batch costs the same few ops whatever the number of spans in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,12 +64,6 @@ class TemporalParams:
         }
 
 
-@dataclass
-class GlobalRep:
-    g_star: Tensor                # dp-dimensional pooled representation
-    day_attention: np.ndarray    # T x T row-stochastic matrix
-
-
 def span_attention(days: Tensor, spans: Sequence[int], params: TemporalParams,
                    config: TrainConfig) -> tuple[Tensor, list[np.ndarray]]:
     """Fuse each span's day representations into its g* with scaled
@@ -105,19 +98,8 @@ def span_attention(days: Tensor, spans: Sequence[int], params: TemporalParams,
     return g_star, attention
 
 
-def global_self_attention(reps: list[Tensor], params: TemporalParams,
-                          config: TrainConfig) -> GlobalRep:
-    """Fuse one span of T day representations into g*: a span batch of one."""
-    if not reps:
-        raise ValidationError("need at least one day representation")
-    g_star, attention = span_attention(ag.stack_rows(reps), [len(reps)], params, config)
-    return GlobalRep(g_star=ag.gather_rows(g_star, 0), day_attention=attention[0])
-
-
 def classify(g_star: Tensor, params: TemporalParams) -> Tensor:
-    """Class probabilities from pooled representations: one row per row of
-    `g_star`, or one vector for a vector."""
-    if g_star.data.ndim == 1:
-        return ag.gather_rows(classify(ag.stack_rows([g_star]), params), 0)
+    """Class probabilities from pooled representations, one row per row of
+    `g_star`."""
     bias = ag.stack_rows([params.class_bias] * g_star.data.shape[0])
     return ag.softmax_rows(ag.add(ag.matmul_t(g_star, params.class_weights), bias))

@@ -22,26 +22,12 @@ from .streams import FEATURE_DIM, Vocabulary, behavior_feature, day_span, day_wi
 
 PROB_FLOOR = 1e-12
 
-# Counts label probabilities that had to be clamped before the log.
-_clamp_warnings = 0
-
-
-def clamp_warning_count() -> int:
-    return _clamp_warnings
-
-
-def reset_clamp_warnings() -> None:
-    global _clamp_warnings
-    _clamp_warnings = 0
-
 
 def cross_entropy(probs: list[Tensor], labels: list[int]) -> Tensor:
     """Mean of -log p[label] over the batch; zero probabilities clamp to 1e-12."""
-    global _clamp_warnings
     if len(probs) != len(labels) or not probs:
         raise ValidationError("probabilities and labels must pair up")
     picked = ag.pick(ag.stack_rows(probs), (np.arange(len(labels)), np.asarray(labels)))
-    _clamp_warnings += int(np.count_nonzero(picked.data <= PROB_FLOOR))
     return ag.mean(ag.neg(ag.log(ag.clamp_min(picked, PROB_FLOOR))))
 
 

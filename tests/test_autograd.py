@@ -18,49 +18,26 @@ def grads_of(f, params):
 
 
 # ---------------------------------------------------------------------------
-# linear / matmul
+# matmul
 
 
-def test_linear_identity():
-    x = ag.constant([1.0, 2.0])
-    w = ag.constant([[1.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(ag.linear(x, w).data, [1.0, 2.0])
-
-
-def test_linear_hand_sum():
-    x = ag.constant([1.0, 1.0])
-    w = ag.constant([[2.0, 3.0]])
-    assert np.array_equal(ag.linear(x, w).data, [5.0])
-
-
-def test_linear_gradients_match_finite_differences():
-    rng = np.random.default_rng(0)
-    x = ag.parameter(rng.uniform(-10, 10, 5))
-    w = ag.parameter(rng.uniform(-10, 10, (3, 5)))
-
-    def f():
-        return ag.total(ag.tanh(ag.linear(x, w)))
-
-    assert ag.finite_diff_check(f, [x, w], eps=1e-5) < 1e-5
-
-
-def test_linear_shape_mismatch():
-    with pytest.raises(DimensionError):
-        ag.linear(ag.constant([1.0, 2.0, 3.0]), ag.constant([[1.0, 2.0]]))
-
-
-@pytest.mark.parametrize("ashape,bshape", [((3, 4), (4, 2)), ((3, 4), (4,)),
-                                           ((4,), (4, 2)), ((4,), (4,))])
+@pytest.mark.parametrize("ashape,bshape", [((1, 4), (4,)), ((3, 4), (4,))])
 def test_matmul_all_arities_grad(ashape, bshape):
     rng = np.random.default_rng(7)
     a = ag.parameter(rng.uniform(-2, 2, ashape))
     b = ag.parameter(rng.uniform(-2, 2, bshape))
 
     def f():
-        out = ag.matmul(a, b)
-        return out if out.data.ndim == 0 else ag.total(out)
+        return ag.total(ag.matmul(a, b))
 
     assert ag.finite_diff_check(f, [a, b], eps=1e-5) < 1e-5
+
+
+@pytest.mark.parametrize("ashape,bshape", [((4,), (4, 2)), ((4,), (4,)), ((3, 4), (4, 2)),
+                                           ((3, 4), (3,))])
+def test_matmul_rejects_non_matrix_vector_operands(ashape, bshape):
+    with pytest.raises(DimensionError):
+        ag.matmul(ag.constant(np.ones(ashape)), ag.constant(np.ones(bshape)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +152,6 @@ def _rand(rng, shape):
 
 OPS = [
     ("add", lambda a, b: ag.add(a, b), 2, (4, 3)),
-    ("sub", lambda a, b: ag.sub(a, b), 2, (4, 3)),
     ("mul", lambda a, b: ag.mul(a, b), 2, (4, 3)),
     ("mul_scalar", lambda a: ag.mul(a, 2.5), 1, (4, 3)),
     ("neg", ag.neg, 1, (4, 3)),
@@ -183,7 +159,6 @@ OPS = [
     ("sigmoid", ag.sigmoid, 1, (4, 3)),
     ("total", ag.total, 1, (4, 3)),
     ("mean", ag.mean, 1, (4, 3)),
-    ("col_sum", ag.col_sum, 1, (4, 3)),
     ("col_mean", ag.col_mean, 1, (4, 3)),
     ("rows", lambda a: ag.rows(a, 1, 3), 1, (4, 3)),
     ("pick", lambda a: ag.pick(a, 2), 1, (5,)),
@@ -202,7 +177,7 @@ OPS = [
         a, [1, 1, 0, 1, 0], 3, weights=np.array([0.5, -2.0, 1.5, 0.25, 1.0]),
         rows=[3, 0, 3, 2, 2]), 1, (4, 3)),
     ("segment_sum_weighted", lambda a, b: ag.segment_sum(
-        a, [0, 1, 0, 1], 2, weights=ag.col_sum(b)), 2, (4, 4)),
+        a, [0, 1, 0, 1], 2, weights=ag.col_mean(b)), 2, (4, 4)),
     ("segment_softmax", lambda a: ag.segment_softmax(a, [0, 1, 0, 3, 0, 1], 4), 1, (6,)),
     ("softmax_rows", ag.softmax_rows, 1, (4, 3)),
     ("clamp_min", lambda a: ag.clamp_min(a, 0.5), 1, (4, 3)),

@@ -142,6 +142,20 @@ def test_build_graph_failure_leaves_no_index(tmp_path, capsys, monkeypatch):
             f"day_{d:05d}.json" for d in range(3 if before == "fresh" else 5)], before
 
 
+def test_build_graph_reused_out_drops_stale_days(tmp_path):
+    out = tmp_path / "graphs"
+    for days in (5, 2):
+        log = tmp_path / f"log{days}.jsonl"
+        log.write_text('{"format": 1}\n' + "".join(
+            f'{{"stream": "audio", "concept": "voice", "start": {d * 86400 + 100}, '
+            f'"end": {d * 86400 + 200}}}\n' for d in range(days)))
+        assert main(["build-graph", "--log", str(log), "--vocab",
+                     str(DATA / "toy_vocab.json"), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "day_00000.json", "day_00001.json", "graphs.json"]
+    assert json.loads((out / "graphs.json").read_text())["days"] == 2
+
+
 # ---------------------------------------------------------------------------
 # one writer for every output file
 
@@ -279,6 +293,22 @@ def test_eval_with_checkpoint_skips_training(synth_dir, tmp_path):
     assert code == 0
     rows = json.loads((out / "metrics.json").read_text())
     assert rows[-1]["task"] == "average"
+
+
+def test_eval_with_checkpoint_echoes_the_checkpoint_config(synth_dir, tmp_path):
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(synth_dir), "--out", str(run)] + FAST
+                + ["--no-homo", "--linear-layers", "--batch-size", "3"]) == 0
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", str(synth_dir), "--out", str(out),
+                 "--checkpoint", str(run / "checkpoint.json"), "--splits", "3"]) == 0
+    echoed = json.loads((out / "config.json").read_text())
+    trained = json.loads((run / "config.json").read_text())
+    for key in ("d", "de", "dp", "layers", "span", "use_homogeneous",
+                "use_heterogeneous", "linear_layers", "batch_size"):
+        assert echoed[key] == trained[key], key
+    assert (echoed["use_homogeneous"], echoed["linear_layers"], echoed["batch_size"]) == (
+        False, True, 3)
 
 
 def test_env_seed_default(tmp_path, synth_dir, monkeypatch):

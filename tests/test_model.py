@@ -182,14 +182,16 @@ def test_edge_embeddings_are_direction_sensitive(vocab, small_table, small_confi
 
 def test_semantic_pool_single_node():
     state = np.array([[1.0, -2.0, 0.5]])
-    g_s, beta = semantic_pool(ag.constant(state), ag.constant([0.3, 0.1, -0.2]))
-    assert np.array_equal(g_s.data, state[0])
+    g_s, beta = semantic_pool(ag.constant(state), ag.constant([0.3, 0.1, -0.2]),
+                              np.zeros(1, np.intp), 1)
+    assert np.array_equal(g_s.data, state)
     assert beta.tolist() == [1.0]
 
 
 def test_semantic_pool_identical_states_uniform():
     state = np.tile([0.5, 1.0], (4, 1))
-    g_s, beta = semantic_pool(ag.constant(state), ag.constant([1.0, 2.0]))
+    g_s, beta = semantic_pool(ag.constant(state), ag.constant([1.0, 2.0]),
+                              np.zeros(4, np.intp), 1)
     assert np.allclose(beta, 0.25, atol=1e-15)
     assert np.allclose(g_s.data, [0.5, 1.0], atol=1e-15)
 
@@ -198,7 +200,7 @@ def test_semantic_pool_matches_two_pass_oracle():
     rng = np.random.default_rng(21)
     states = rng.uniform(-2, 2, (6, 5))
     q = rng.uniform(-1, 1, 5)
-    g_s, beta = semantic_pool(ag.constant(states), ag.constant(q))
+    g_s, beta = semantic_pool(ag.constant(states), ag.constant(q), np.zeros(6, np.intp), 1)
     scores = states @ q
     w = np.exp(scores - scores.max())
     w /= w.sum()
@@ -209,16 +211,16 @@ def test_semantic_pool_matches_two_pass_oracle():
 
 def test_structural_pool_single_edge():
     vec = np.array([[0.3, -0.7]])
-    g_e, beta = structural_pool(ag.constant(vec), ag.constant([1.0, 2.0, 3.0]),
-                                ag.constant(np.ones((2, 3))))
-    assert np.array_equal(g_e.data, vec[0])
+    g_e, beta = structural_pool(ag.constant(vec), ag.constant([[1.0, 2.0, 3.0]]),
+                                ag.constant(np.ones((2, 3))), np.zeros(1, np.intp))
+    assert np.array_equal(g_e.data, vec)
     assert beta.tolist() == [1.0]
 
 
 def test_structural_pool_identical_edges():
     vec = np.tile([0.2, 0.9], (5, 1))
-    g_e, beta = structural_pool(ag.constant(vec), ag.constant([0.5, 0.5]),
-                                ag.constant(np.eye(2)))
+    g_e, beta = structural_pool(ag.constant(vec), ag.constant([[0.5, 0.5]]),
+                                ag.constant(np.eye(2)), np.zeros(5, np.intp))
     assert np.allclose(beta, 0.2, atol=1e-15)
     assert np.allclose(g_e.data, [0.2, 0.9], atol=1e-15)
 
@@ -226,8 +228,8 @@ def test_structural_pool_identical_edges():
 def test_structural_pool_convex_hull_bounds():
     rng = np.random.default_rng(22)
     vectors = rng.uniform(-3, 3, (7, 4))
-    g_e, beta = structural_pool(ag.constant(vectors), ag.constant(rng.uniform(-1, 1, 3)),
-                                ag.constant(rng.uniform(-1, 1, (4, 3))))
+    g_e, beta = structural_pool(ag.constant(vectors), ag.constant(rng.uniform(-1, 1, (1, 3))),
+                                ag.constant(rng.uniform(-1, 1, (4, 3))), np.zeros(7, np.intp))
     assert abs(beta.sum() - 1.0) <= 1e-12
     assert np.all(g_e.data >= vectors.min(axis=0) - 1e-12)
     assert np.all(g_e.data <= vectors.max(axis=0) + 1e-12)
@@ -243,7 +245,7 @@ def test_zero_layers_pools_raw_scaled_embeddings(vocab, small_table):
     params = make_params(config, seed=4)
     rep = local_graph_forward(graph, small_table, params, config)
     states = initial_states(graph.arrays, small_table)
-    g_s, _ = semantic_pool(states, params.node_query)
+    g_s, _ = semantic_pool(states, params.node_query, np.zeros(graph.arrays.n, np.intp), 1)
     assert np.allclose(rep.g_s.data, g_s.data, atol=1e-15)
 
 

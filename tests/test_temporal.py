@@ -3,8 +3,8 @@ import pytest
 
 from lgbg import autograd as ag
 from lgbg.errors import ValidationError
-from lgbg.temporal import (TemporalParams, classify, global_self_attention,
-                           position_embedding, position_table)
+from lgbg.temporal import (TemporalParams, classify, position_embedding,
+                           position_table, span_attention)
 
 
 def make_params(config, seed=0):
@@ -46,17 +46,17 @@ def test_single_day_attention_is_identity(small_config):
     params = make_params(small_config, seed=1)
     rng = np.random.default_rng(3)
     g1 = ag.constant(rng.uniform(-1, 1, small_config.dp))
-    out = global_self_attention([g1], params, small_config)
-    assert np.array_equal(out.day_attention, [[1.0]])
-    assert np.allclose(out.g_star.data, params.value_proj.data @ g1.data, atol=1e-12)
+    g_star, attention = span_attention(ag.stack_rows([g1]), [1], params, small_config)
+    assert np.array_equal(attention[0], [[1.0]])
+    assert np.allclose(g_star.data[0], params.value_proj.data @ g1.data, atol=1e-12)
 
 
 def test_identical_reps_and_positions_uniform_rows(small_config):
     params = make_params(small_config, seed=2)
     params.positions = np.zeros_like(params.positions)
     rep = ag.constant(np.full(small_config.dp, 0.3))
-    out = global_self_attention([rep, rep, rep], params, small_config)
-    assert np.allclose(out.day_attention, 1 / 3, atol=1e-12)
+    _, attention = span_attention(ag.stack_rows([rep, rep, rep]), [3], params, small_config)
+    assert np.allclose(attention[0], 1 / 3, atol=1e-12)
 
 
 def attention_oracle(reps, params, dp):
@@ -81,10 +81,10 @@ def test_three_day_attention_matches_dense_oracle(small_config):
     params = make_params(small_config, seed=4)
     rng = np.random.default_rng(5)
     reps = [rng.uniform(-2, 2, small_config.dp) for _ in range(3)]
-    out = global_self_attention([ag.constant(r) for r in reps], params, small_config)
+    g_star, attention = span_attention(ag.constant(np.stack(reps)), [3], params, small_config)
     want_g, want_gamma = attention_oracle(reps, params, small_config.dp)
-    assert np.allclose(out.g_star.data, want_g, atol=1e-12)
-    assert np.allclose(out.day_attention, want_gamma, atol=1e-12)
+    assert np.allclose(g_star.data[0], want_g, atol=1e-12)
+    assert np.allclose(attention[0], want_gamma, atol=1e-12)
 
 
 def test_gamma_rows_are_distributions(small_config):
@@ -93,28 +93,30 @@ def test_gamma_rows_are_distributions(small_config):
     for scale in (1.0, 17.0):
         reps = [ag.constant(scale * rng.uniform(-1, 1, small_config.dp))
                 for _ in range(4 if small_config.span >= 4 else 3)]
-        out = global_self_attention(reps[:small_config.span], params, small_config)
-        sums = out.day_attention.sum(axis=1)
+        span = reps[:small_config.span]
+        _, attention = span_attention(ag.stack_rows(span), [len(span)], params, small_config)
+        sums = attention[0].sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
-        assert np.all(out.day_attention > 0)
+        assert np.all(attention[0] > 0)
 
 
 def test_g_star_invariant_to_summation_order(small_config):
-    # col_sum is a single reduction; permuting rows of the attended matrix
-    # must not change it, checked through permuted inputs with zeroed
-    # positions and symmetric attention.
+    # g* is one segment sum over every attended (i, j) pair of the span; it
+    # must equal the oracle's row-by-row sum of the attended matrix, checked
+    # with zeroed positions.
     params = make_params(small_config, seed=8)
     params.positions = np.zeros_like(params.positions)
     rng = np.random.default_rng(9)
     reps = [rng.uniform(-1, 1, small_config.dp) for _ in range(3)]
     base, _ = attention_oracle(reps, params, small_config.dp)
-    out = global_self_attention([ag.constant(r) for r in reps], params, small_config)
-    assert np.allclose(out.g_star.data, base, atol=1e-12)
+    g_star, _ = span_attention(ag.constant(np.stack(reps)), [3], params, small_config)
+    assert np.allclose(g_star.data[0], base, atol=1e-12)
 
 
 def test_empty_span_rejected(small_config):
     with pytest.raises(ValidationError):
-        global_self_attention([], make_params(small_config), small_config)
+        span_attention(ag.constant(np.zeros((0, small_config.dp))), [],
+                       make_params(small_config), small_config)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def test_classify_zero_everything_uniform(small_config):
     params = make_params(small_config, seed=10)
     params.class_weights.data[...] = 0.0
     params.class_bias.data[...] = 0.0
-    probs = classify(ag.constant(np.zeros(small_config.dp)), params)
+    probs = classify(ag.constant(np.zeros((1, small_config.dp))), params)
     assert np.allclose(probs.data, 0.25, atol=1e-15)
 
 
@@ -133,7 +135,7 @@ def test_classify_saturates_on_large_logit(small_config):
     params = make_params(small_config, seed=11)
     params.class_weights.data[...] = 0.0
     params.class_bias.data[...] = np.array([50.0, 0.0, 0.0, 0.0])
-    probs = classify(ag.constant(np.zeros(small_config.dp)), params)
+    probs = ag.gather_rows(classify(ag.constant(np.zeros((1, small_config.dp))), params), 0)
     assert probs.data[0] > 0.99
     assert abs(probs.data.sum() - 1.0) <= 1e-12
 
@@ -144,7 +146,7 @@ def test_classify_argmax_matches_logits(small_config):
     for _ in range(20):
         g = rng.uniform(-3, 3, small_config.dp)
         logits = params.class_weights.data @ g + params.class_bias.data
-        probs = classify(ag.constant(g), params)
+        probs = classify(ag.constant(g[None, :]), params)
         assert int(np.argmax(probs.data)) == int(np.argmax(logits))
 
 
@@ -156,8 +158,8 @@ def test_attention_gradients(small_config):
                params.class_weights, params.class_bias] + reps
 
     def f():
-        out = global_self_attention(reps, params, small_config)
-        probs = classify(out.g_star, params)
-        return ag.neg(ag.log(ag.pick(probs, 2)))
+        g_star, _ = span_attention(ag.stack_rows(reps), [len(reps)], params, small_config)
+        probs = classify(g_star, params)
+        return ag.neg(ag.log(ag.pick(probs, (0, 2))))
 
     assert ag.finite_diff_check(f, tensors, eps=1e-5) < 1e-4
