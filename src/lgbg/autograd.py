@@ -107,6 +107,20 @@ def _push(op: Callable[[], None]) -> None:
     _ACTIVE[-1]._ops.append(op)
 
 
+def custom(data, inputs: Sequence[Tensor],
+           backward: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap the value of an op whose backward is written by its caller.
+
+    If the op is taped, `backward(grad)` is recorded and receives the
+    output's gradient; it must accumulate into the `grad` of each input
+    that requires one.
+    """
+    out, rec = _result(data, *inputs)
+    if rec:
+        _push(lambda: backward(out.grad))
+    return out
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
@@ -236,7 +250,7 @@ def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def _scatter_rows(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+def scatter_rows(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """Sum of the rows of `values` into `n` rows, row i into row idx[i].
 
     Rows are added in their order, so a row's sum does not depend on the
@@ -258,7 +272,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
             if idx.ndim == 0:
                 x.grad[idx] += out.grad
             else:
-                x.grad += _scatter_rows(out.grad, idx, x.data.shape[0])
+                x.grad += scatter_rows(out.grad, idx, x.data.shape[0])
         _push(bwd)
     return out
 
@@ -366,13 +380,13 @@ def segment_sum(x: Tensor, segment, n: int, weights=None, rows=None) -> Tensor:
     w = weights.data if isinstance(weights, Tensor) else weights
     terms = picked if w is None else picked * w[:, None]
     inputs = (x, weights) if isinstance(weights, Tensor) else (x,)
-    out, rec = _result(_scatter_rows(terms, segment, n), *inputs)
+    out, rec = _result(scatter_rows(terms, segment, n), *inputs)
     if rec:
         def bwd():
             g = out.grad[segment]
             if x.requires_grad:
                 gx = g if w is None else g * w[:, None]
-                x.grad += gx if rows is None else _scatter_rows(gx, rows, x.data.shape[0])
+                x.grad += gx if rows is None else scatter_rows(gx, rows, x.data.shape[0])
             if isinstance(weights, Tensor) and weights.requires_grad:
                 weights.grad += np.einsum("ij,ij->i", g, picked)
         _push(bwd)

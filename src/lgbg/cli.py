@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .config import TrainConfig, config_from_dict, load_config, save_config
+from .config import TrainConfig, config_from_dict, read_config, save_config
 from .dataset import load_dataset, write_dataset
 from .embeddings import EmbeddingTable
 from .errors import DimensionError, LgbgError, NumericError, ValidationError
@@ -50,6 +50,12 @@ _CONFIG_FLAGS = [
 ]
 
 
+# Fields that `eval --checkpoint` takes from the checkpoint; a flag or a
+# config key that sets one of them otherwise draws a warning.
+_CHECKPOINT_FIELDS = ("d", "de", "dp", "layers", "span", "use_homogeneous",
+                      "use_heterogeneous", "linear_layers")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for flag, typ, dest in _CONFIG_FLAGS:
         parser.add_argument(flag, type=typ, dest=dest, default=None)
@@ -73,19 +79,24 @@ def _env_seed(default: int) -> int:
         raise ValidationError(f"LGBG_SEED must be an integer, got {text!r}") from None
 
 
-def _effective_config(args) -> TrainConfig:
-    base = TrainConfig()
-    base = base.replace(seed=_env_seed(base.seed))
+def _config_and_given(args) -> tuple[TrainConfig, set[str]]:
+    """The effective config, and the fields that --config or a flag set."""
+    config = TrainConfig()
+    config = config.replace(seed=_env_seed(config.seed))
+    given = set()
     if getattr(args, "config", None):
-        base = load_config(args.config, base)
-    overrides = {}
+        values = read_config(args.config)
+        config = config_from_dict(values, config)
+        given |= set(values)
     names = [dest for _, _, dest in _CONFIG_FLAGS]
     names += ["linear_layers", "use_homogeneous", "use_heterogeneous"]
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return config_from_dict(overrides, base)
+    overrides = {name: getattr(args, name) for name in names
+                 if getattr(args, name, None) is not None}
+    return config_from_dict(overrides, config), given | set(overrides)
+
+
+def _effective_config(args) -> TrainConfig:
+    return _config_and_given(args)[0]
 
 
 def _table_for(args, vocab: Vocabulary, config: TrainConfig) -> EmbeddingTable:
@@ -146,7 +157,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _effective_config(args)
+    if args.checkpoint and args.embeddings:
+        raise ValidationError("--embeddings cannot be used with --checkpoint: "
+                              "the checkpoint holds its own embedding table")
+    config, given = _config_and_given(args)
     data = load_dataset(args.data)
     config = config.replace(day_origin=data.day_origin)
     out = Path(args.out)
@@ -154,9 +168,12 @@ def cmd_eval(args) -> int:
     if args.checkpoint:
         model = Model.load(args.checkpoint, vocab=data.vocab)
         # The echoed config is the one the checkpoint's model runs with.
-        config = config.replace(**{k: getattr(model.config, k) for k in (
-            "d", "de", "dp", "layers", "span", "use_homogeneous", "use_heterogeneous",
-            "linear_layers", "batch_size")})
+        fixed = {k: getattr(model.config, k) for k in _CHECKPOINT_FIELDS}
+        for name, value in fixed.items():
+            if name in given and getattr(config, name) != value:
+                print(f"warning: {name} {json.dumps(getattr(config, name))} is ignored; "
+                      f"the checkpoint's {json.dumps(value)} is used", file=sys.stderr)
+        config = config.replace(**fixed, batch_size=model.config.batch_size)
         samples = data.samples(config.span, model.table)
         tasks = split_protocol(len(samples), config.splits, config.seed)
         reports = [evaluate(model, [samples[j] for j in test], task=f"task-{i + 1}")

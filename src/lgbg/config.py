@@ -90,8 +90,17 @@ def config_from_dict(values: dict, base: TrainConfig | None = None) -> TrainConf
     return build(TrainConfig, (base or TrainConfig()).to_dict() | renamed, "config")
 
 
+def read_config(path) -> dict:
+    """A config file's values keyed by field name, not yet checked (that is
+    `config_from_dict`'s work)."""
+    values = {_normalize_key(key): value
+              for key, value in read_json(path, "config file").items()}
+    values.pop("format", None)
+    return values
+
+
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    return config_from_dict(read_json(path, "config file"), base)
+    return config_from_dict(read_config(path), base)
 
 
 def save_config(config: TrainConfig, path) -> None:

@@ -11,7 +11,10 @@ with a separate (W_x, W_homo, W_het) triple per stream and per layer, and
 edge weights a_ij normalized over each node's incoming edges, separately for
 the same-stream and cross-stream kinds. A layer is one gather-and-sum per
 edge kind and three matrix products per stream, whatever the batch size. A
-pointwise tanh follows each layer unless `linear_layers` is set. Graph
+pointwise tanh follows each layer unless `linear_layers` is set. A layer is
+one tape op: its backward is written out to accumulate in the same order
+as the backward of the small ops it is made of, so it gives the same bits
+as they would. Graph
 readout combines a node-attention pool (semantic) with an edge-attention
 pool queried by it (structural); each softmax runs within one graph, as
 GAT's runs within one neighbourhood (Veličković et al., arXiv 1710.10903).
@@ -34,7 +37,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .config import TrainConfig
 from .embeddings import EmbeddingTable
-from .errors import DimensionError
+from .errors import DimensionError, NumericError
 from .graphs import HETEROGENEOUS, HOMOGENEOUS, GraphArrays, LocalContextGraph
 from .streams import STREAMS
 
@@ -170,21 +173,53 @@ def initial_states(arrays: GraphArrays | GraphBatch, table: EmbeddingTable) -> T
 def message_passing_layer(states: Tensor, batch: GraphBatch,
                           layer: dict[str, dict[str, Tensor]],
                           nonlinear: bool = True) -> Tensor:
-    """One simultaneous update of all node states (Tensor of shape n x d)."""
+    """One simultaneous update of all node states (Tensor of shape n x d),
+    recorded as one tape op.
+
+    The forward is one gather-and-sum per edge kind, then per stream block
+    the self term plus each kind's term, then tanh. The backward is the
+    composed ops' backward written out: every sum is taken in the order
+    their tape replayed it, so the gradients are the same bits.
+    """
     if states.data.shape[0] != batch.n:
         raise DimensionError("states row count differs from node count")
-    mixes = {kind: ag.segment_sum(states, m.dst, batch.n, weights=m.weight, rows=m.src)
-             for kind, m in batch.messages.items()}
-
-    parts = []
+    x = states.data
+    kinds = [(_WEIGHT[kind], m) for kind, m in batch.messages.items()]  # homogeneous first
+    mixes = [ag.scatter_rows(x[m.src] * m.weight[:, None], m.dst, batch.n)
+             for _, m in kinds]
+    pre = np.empty_like(x)
     for stream, lo, hi in batch.blocks:
         w = layer[stream]
-        new = ag.matmul_t(ag.rows(states, lo, hi), w["self"])
-        for kind, mix in mixes.items():
-            new = ag.add(new, ag.matmul_t(ag.rows(mix, lo, hi), w[_WEIGHT[kind]]))
-        parts.append(new)
-    out = parts[0] if len(parts) == 1 else ag.concat(parts, axis=0)
-    return ag.tanh(out) if nonlinear else out
+        pre[lo:hi] = x[lo:hi] @ w["self"].data.T
+        for (name, _), mix in zip(kinds, mixes):
+            pre[lo:hi] += mix[lo:hi] @ w[name].data.T
+    # tanh would hide an overflow from the output's finite check
+    if nonlinear and ag.CHECK_FINITE and not np.isfinite(pre.sum()):
+        raise NumericError("tensor holds non-finite values")
+    y = np.tanh(pre) if nonlinear else pre
+
+    def backward(grad: np.ndarray) -> None:
+        g_all = (1.0 - y * y) * grad if nonlinear else grad
+        dmix = [np.zeros_like(x) for _ in kinds] if states.requires_grad else None
+        for stream, lo, hi in reversed(batch.blocks):
+            w = layer[stream]
+            g = g_all[lo:hi]
+            for i in reversed(range(len(kinds))):
+                weight = w[kinds[i][0]]
+                if dmix is not None:
+                    dmix[i][lo:hi] += g @ weight.data
+                if weight.requires_grad:
+                    weight.grad += g.T @ mixes[i][lo:hi]
+            if states.requires_grad:
+                states.grad[lo:hi] += g @ w["self"].data
+            if w["self"].requires_grad:
+                w["self"].grad += g.T @ x[lo:hi]
+        if dmix is not None:
+            for (_, m), dm in zip(reversed(kinds), reversed(dmix)):
+                states.grad += ag.scatter_rows(dm[m.dst] * m.weight[:, None], m.src, batch.n)
+
+    weights = [t for stream, _, _ in batch.blocks for t in layer[stream].values()]
+    return ag.custom(y, [states, *weights], backward)
 
 
 def edge_embeddings(states: Tensor, batch: GraphBatch,

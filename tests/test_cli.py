@@ -311,6 +311,50 @@ def test_eval_with_checkpoint_echoes_the_checkpoint_config(synth_dir, tmp_path):
         False, True, 3)
 
 
+def test_eval_with_checkpoint_rejects_embeddings(synth_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(synth_dir), "--out", str(run)] + FAST) == 0
+    emb = tmp_path / "emb.txt"
+    emb.write_text("dorm " + " ".join(["0.5"] * 8) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--data", str(synth_dir), "--out", str(tmp_path / "eval"),
+                 "--checkpoint", str(run / "checkpoint.json"),
+                 "--embeddings", str(emb)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_with_checkpoint_warns_once_per_overridden_field(synth_dir, tmp_path,
+                                                              capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(synth_dir), "--out", str(run)] + FAST) == 0
+    trained = json.loads((run / "config.json").read_text())
+    config = tmp_path / "config.json"
+    # layers differs from the checkpoint, span and de repeat it, lr is not
+    # taken from the checkpoint; the flag --d wins over the file's d.
+    config.write_text(json.dumps({"m": trained["layers"] + 1, "span": trained["span"],
+                                  "de": trained["de"], "d": trained["d"], "lr": 0.5}))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(synth_dir), "--out", str(tmp_path / "eval"),
+                 "--checkpoint", str(run / "checkpoint.json"), "--splits", "3",
+                 "--config", str(config), "--d", str(trained["d"] + 2),
+                 "--no-hetero", "--no-homo", "--dp", str(trained["dp"])]) == 0
+    warned = [line.split()[1] for line in capsys.readouterr().err.splitlines()
+              if line.startswith("warning: ")]
+    assert warned == ["d", "layers", "use_homogeneous", "use_heterogeneous"]
+    echoed = json.loads((tmp_path / "eval" / "config.json").read_text())
+    for key in ("d", "layers", "use_homogeneous", "use_heterogeneous"):
+        assert echoed[key] == trained[key], key
+
+    # Defaults that were not given never warn, even where they differ from
+    # the checkpoint's (FAST trains with a small d, de, dp and layers).
+    capsys.readouterr()
+    assert main(["eval", "--data", str(synth_dir), "--out", str(tmp_path / "eval2"),
+                 "--checkpoint", str(run / "checkpoint.json"), "--splits", "3"]) == 0
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_env_seed_default(tmp_path, synth_dir, monkeypatch):
     monkeypatch.setenv("LGBG_SEED", "77")
     out = tmp_path / "run"

@@ -2,10 +2,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lgbg import autograd as ag
 from lgbg.config import TrainConfig
 from lgbg.embeddings import EmbeddingTable
+from lgbg.errors import NumericError
 from lgbg.gnn import (GnnParams, batch_graphs, edge_embeddings, initial_states,
                       local_graph_forward, message_passing_layer, semantic_pool,
                       structural_pool)
@@ -138,6 +140,116 @@ def test_two_layers_match_dense_oracle(vocab, small_table, small_config):
         got = message_passing_layer(got, compiled, layer, nonlinear=True)
         want = dense_layer_oracle(want, graph, layer, nonlinear=True)
     assert np.allclose(got.data, want, atol=1e-12)
+
+
+def composed_layer(states, batch, layer, nonlinear):
+    """The layer as composed autograd ops: the reference for the fused one."""
+    weight = {HOMOGENEOUS: "homo", HETEROGENEOUS: "het"}
+    mixes = {kind: ag.segment_sum(states, m.dst, batch.n, weights=m.weight, rows=m.src)
+             for kind, m in batch.messages.items()}
+    parts = []
+    for stream, lo, hi in batch.blocks:
+        w = layer[stream]
+        new = ag.matmul_t(ag.rows(states, lo, hi), w["self"])
+        for kind, mix in mixes.items():
+            new = ag.add(new, ag.matmul_t(ag.rows(mix, lo, hi), w[weight[kind]]))
+        parts.append(new)
+    out = parts[0] if len(parts) == 1 else ag.concat(parts, axis=0)
+    return ag.tanh(out) if nonlinear else out
+
+
+LAYER_CASES = ["default", "no_homo", "no_hetero", "linear", "missing_stream", "edgeless"]
+
+
+def layer_case(name, vocab, table, config):
+    """The multi-graph batch of case `name` and its config; checks which edge
+    kinds and streams the batch holds."""
+    def graph(**streams):
+        return build_local_graph(one_day(streams), vocab, table).arrays
+
+    mixed = mixed_graph(vocab, table).arrays
+    chatter = graph(audio=[ev(AUDIO, "voice", 0, 3600), ev(AUDIO, "silence", 3600, 7200),
+                           ev(AUDIO, "voice", 7200, 9000)])
+    no_audio = graph(
+        activity=[ev(ACTIVITY, "walking", 0, 5000), ev(ACTIVITY, "running", 5000, 9000)],
+        location=[ev(LOCATION, "gym", 0, 4000), ev(LOCATION, "dorm", 4000, 9000),
+                  ev(LOCATION, "cafe", 9000, 12000)])
+    lone_walk = graph(activity=[ev(ACTIVITY, "walking", 0, 7200)])
+    lone_cafe = graph(location=[ev(LOCATION, "cafe", 0, 7200)])
+    parts = [mixed, chatter, lone_walk, no_audio, mixed]
+    config = {"no_homo": config.replace(use_homogeneous=False),
+              "no_hetero": config.replace(use_heterogeneous=False),
+              "linear": config.replace(linear_layers=True)}.get(name, config)
+    if name == "missing_stream":
+        parts = [no_audio, lone_walk, no_audio]
+    elif name == "edgeless":
+        parts = [lone_walk, lone_cafe, lone_walk]
+    batch = batch_graphs(parts, config)
+    kinds = {"no_homo": [HETEROGENEOUS], "no_hetero": [HOMOGENEOUS],
+             "edgeless": []}.get(name, [HOMOGENEOUS, HETEROGENEOUS])
+    assert list(batch.messages) == kinds
+    assert len(batch.blocks) == (2 if name in ("missing_stream", "edgeless") else 3)
+    return batch, config
+
+
+def layer_inputs(name, vocab, table, config):
+    batch, config = layer_case(name, vocab, table, config)
+    states = ag.parameter(initial_states(batch, table).data)
+    layer = make_params(config, seed=11).layers[0]
+    weights = [layer[stream][kind] for stream in sorted(layer) for kind in layer[stream]]
+    readout = ag.constant(np.random.default_rng(2).standard_normal((batch.n, config.d)))
+
+    def run(forward):
+        return forward(states, batch, layer, not config.linear_layers)
+
+    def loss(out):
+        return ag.total(ag.mul(out, readout))
+
+    return states, weights, run, loss
+
+
+@pytest.mark.parametrize("name", LAYER_CASES)
+def test_fused_layer_matches_composed_ops_bitwise(name, vocab, small_table, small_config):
+    states, weights, run, loss = layer_inputs(name, vocab, small_table, small_config)
+    assert len(weights) == 9
+    results = []
+    for forward in (composed_layer, message_passing_layer):
+        for p in [states, *weights]:
+            p.zero_grad()
+        with ag.Tape() as tape:
+            out = run(forward)
+            total = loss(out)
+        tape.backward(total)
+        results.append([out.data.copy()] + [p.grad.copy() for p in [states, *weights]])
+    for want, got in zip(*results):
+        assert np.array_equal(got, want)
+    assert np.any(results[1][1])          # the states' gradient is checked
+
+
+@pytest.mark.parametrize("name", LAYER_CASES)
+def test_fused_layer_gradient_matches_finite_differences(name, vocab, small_table,
+                                                         small_config):
+    states, weights, run, loss = layer_inputs(name, vocab, small_table, small_config)
+    err = ag.finite_diff_check(lambda: loss(run(message_passing_layer)), [states, *weights])
+    assert err < 1e-5
+
+
+@pytest.mark.parametrize("name", LAYER_CASES)
+def test_fused_layer_is_one_tape_op(name, vocab, small_table, small_config):
+    _, _, run, _ = layer_inputs(name, vocab, small_table, small_config)
+    with ag.Tape() as tape:
+        run(message_passing_layer)
+    assert len(tape) == 1
+
+
+def test_fused_layer_overflow_is_a_numeric_error(vocab, small_table, small_config):
+    batch, config = layer_case("default", vocab, small_table, small_config)
+    states = initial_states(batch, small_table)
+    layer = make_params(config).layers[0]
+    layer[ACTIVITY]["het"].data[...] = 1e308   # tanh would hide the overflow
+    for forward in (composed_layer, message_passing_layer):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            forward(states, batch, layer, True)
 
 
 # ---------------------------------------------------------------------------
