@@ -3,8 +3,10 @@
 A `Tape` records one backward closure per primitive operation, in execution
 order; `Tape.backward` replays them in exact reverse order, accumulating
 adjoints additively (a value consumed n times receives the sum of n
-contributions). Operations executed with no tape active compute values only,
-which is what evaluation paths use.
+contributions). Every op is made by `custom`, which records its backward
+only when a tape is active and an input requires a gradient; otherwise the
+op computes its value only, which is what evaluation paths use. Every op
+output is checked for NaN and Inf when its `Tensor` is built.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
-
-# Finite checks on every op output; tests rely on NaN/Inf being an error state.
-CHECK_FINITE = True
 
 _ACTIVE: list["Tape"] = []
 
@@ -65,7 +64,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         # One reduction: any NaN/Inf in arr leaves the sum non-finite.
-        if CHECK_FINITE and not np.isfinite(arr.sum()):
+        if not np.isfinite(arr.sum()):
             raise NumericError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -94,85 +93,60 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _result(data, *inputs: Tensor) -> tuple[Tensor, bool]:
-    """Wrap an op output; returns (tensor, record) where record says whether a
-    backward closure should be pushed onto the active tape."""
-    tape = active_tape()
-    record = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=record)
-    return out, record
-
-
-def _push(op: Callable[[], None]) -> None:
-    _ACTIVE[-1]._ops.append(op)
-
-
 def custom(data, inputs: Sequence[Tensor],
            backward: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap the value of an op whose backward is written by its caller.
+    """Wrap the value of an op; every op in lgbg is made here.
 
-    If the op is taped, `backward(grad)` is recorded and receives the
+    The op is recorded only when a tape is active and one of `inputs`
+    requires a gradient. Then `backward(grad)` is recorded and receives the
     output's gradient; it must accumulate into the `grad` of each input
     that requires one.
     """
-    out, rec = _result(data, *inputs)
-    if rec:
-        _push(lambda: backward(out.grad))
+    tape = active_tape()
+    record = tape is not None and any(t.requires_grad for t in inputs)
+    out = Tensor(data, requires_grad=record)
+    if record:
+        tape.record(lambda: backward(out.grad))
     return out
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
 
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
-def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"add shapes differ: {a.data.shape} vs {b.data.shape}")
-    out, rec = _result(a.data + b.data, a, b)
-    if rec:
-        def bwd():
-            if a.requires_grad:
-                a.grad += out.grad
-            if b.requires_grad:
-                b.grad += out.grad
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += g
+        if b.requires_grad:
+            b.grad += g
+    return custom(a.data + b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product; `b` may be a python scalar."""
     if isinstance(b, (int, float)):
-        out, rec = _result(a.data * b, a)
-        if rec:
-            def bwd():
-                a.grad += b * out.grad
-            _push(bwd)
-        return out
+        def bwd(g):
+            a.grad += b * g
+        return custom(a.data * b, (a,), bwd)
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
-    out, rec = _result(a.data * b.data, a, b)
-    if rec:
-        def bwd():
-            if a.requires_grad:
-                a.grad += b.data * out.grad
-            if b.requires_grad:
-                b.grad += a.data * out.grad
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += b.data * g
+        if b.requires_grad:
+            b.grad += a.data * g
+    return custom(a.data * b.data, (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
-    out, rec = _result(-a.data, a)
-    if rec:
-        def bwd():
-            a.grad -= out.grad
-        _push(bwd)
-    return out
+    def bwd(g):
+        a.grad -= g
+    return custom(-a.data, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +159,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.ndim != 2 or bd.ndim != 1 or ad.shape[1] != bd.shape[0]:
         raise DimensionError(f"matmul expects a matrix and a vector of its width, "
                              f"got {ad.shape} vs {bd.shape}")
-    out, rec = _result(ad @ bd, a, b)
-    if rec:
-        def bwd():
-            g = out.grad
-            if a.requires_grad:
-                a.grad += np.outer(g, bd)
-            if b.requires_grad:
-                b.grad += ad.T @ g
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += np.outer(g, bd)
+        if b.requires_grad:
+            b.grad += ad.T @ g
+    return custom(ad @ bd, (a, b), bwd)
 
 
 def matmul_t(a: Tensor, b: Tensor) -> Tensor:
@@ -203,16 +174,13 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[1]:
         raise DimensionError(f"matmul_t shapes differ: {ad.shape} vs {bd.shape}")
-    out, rec = _result(ad @ bd.T, a, b)
-    if rec:
-        def bwd():
-            g = out.grad
-            if a.requires_grad:
-                a.grad += g @ bd
-            if b.requires_grad:
-                b.grad += g.T @ ad
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += g @ bd
+        if b.requires_grad:
+            b.grad += g.T @ ad
+    return custom(ad @ bd.T, (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -222,32 +190,27 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise DimensionError("concat of zero tensors")
-    out, rec = _result(np.concatenate([p.data for p in parts], axis=axis), *parts)
-    if rec:
-        sizes = [p.data.shape[axis] for p in parts]
-        offsets = np.cumsum([0] + sizes)
-        def bwd():
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if p.requires_grad:
-                    idx = [slice(None)] * p.data.ndim
-                    idx[axis] = slice(lo, hi)
-                    p.grad += out.grad[tuple(idx)]
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                idx = [slice(None)] * p.data.ndim
+                idx[axis] = slice(lo, hi)
+                p.grad += g[tuple(idx)]
+    return custom(np.concatenate([p.data for p in parts], axis=axis), parts, bwd)
 
 
 def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
     """Stack 1-D tensors of equal length into a matrix, one per row."""
     if not vectors:
         raise DimensionError("stack_rows of zero tensors")
-    out, rec = _result(np.stack([v.data for v in vectors]), *vectors)
-    if rec:
-        def bwd():
-            for i, v in enumerate(vectors):
-                if v.requires_grad:
-                    v.grad += out.grad[i]
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        for i, v in enumerate(vectors):
+            if v.requires_grad:
+                v.grad += g[i]
+    return custom(np.stack([v.data for v in vectors]), vectors, bwd)
 
 
 def scatter_rows(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
@@ -266,49 +229,39 @@ def scatter_rows(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 
 def gather_rows(x: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
-    out, rec = _result(x.data[idx], x)
-    if rec:
-        def bwd():
-            if idx.ndim == 0:
-                x.grad[idx] += out.grad
-            else:
-                x.grad += scatter_rows(out.grad, idx, x.data.shape[0])
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        if idx.ndim == 0:
+            x.grad[idx] += g
+        else:
+            x.grad += scatter_rows(g, idx, x.data.shape[0])
+    return custom(x.data[idx], (x,), bwd)
 
 
 def cols(x: Tensor, start: int, stop: int) -> Tensor:
     """Columns start..stop-1 of a matrix."""
     if x.data.ndim != 2:
         raise DimensionError("cols expects a matrix")
-    out, rec = _result(x.data[:, start:stop], x)
-    if rec:
-        def bwd():
-            x.grad[:, start:stop] += out.grad
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        x.grad[:, start:stop] += g
+    return custom(x.data[:, start:stop], (x,), bwd)
 
 
 def rows(x: Tensor, start: int, stop: int) -> Tensor:
     # The output shares memory with x; tensors are immutable after
     # construction, so the view is safe.
-    out, rec = _result(x.data[start:stop], x)
-    if rec:
-        def bwd():
-            x.grad[start:stop] += out.grad
-        _push(bwd)
-    return out
+    def bwd(g):
+        x.grad[start:stop] += g
+    return custom(x.data[start:stop], (x,), bwd)
 
 
 def pick(x: Tensor, index) -> Tensor:
     """x[index] for an integer index (one element of a vector) or a tuple of
     integer arrays (elements of a matrix, as numpy indexes them)."""
-    out, rec = _result(x.data[index], x)
-    if rec:
-        def bwd():
-            np.add.at(x.grad, index, out.grad)
-        _push(bwd)
-    return out
+    def bwd(g):
+        np.add.at(x.grad, index, g)
+    return custom(x.data[index], (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -316,50 +269,41 @@ def pick(x: Tensor, index) -> Tensor:
 
 
 def total(x: Tensor) -> Tensor:
-    out, rec = _result(x.data.sum(), x)
-    if rec:
-        def bwd():
-            x.grad += out.grad
-        _push(bwd)
-    return out
+    def bwd(g):
+        x.grad += g
+    return custom(x.data.sum(), (x,), bwd)
 
 
 def mean(x: Tensor) -> Tensor:
     n = x.data.size
-    out, rec = _result(x.data.mean(), x)
-    if rec:
-        def bwd():
-            x.grad += out.grad / n
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        x.grad += g / n
+    return custom(x.data.mean(), (x,), bwd)
 
 
 def col_mean(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionError("col_mean expects a matrix")
     n = x.data.shape[0]
-    out, rec = _result(x.data.mean(axis=0), x)
-    if rec:
-        def bwd():
-            x.grad += out.grad[None, :] / n
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        x.grad += g[None, :] / n
+    return custom(x.data.mean(axis=0), (x,), bwd)
 
 
 def row_dot(a: Tensor, b: Tensor) -> Tensor:
     """Dot product of each row of `a` with the same row of `b`."""
     if a.data.ndim != 2 or a.data.shape != b.data.shape:
         raise DimensionError(f"row_dot shapes differ: {a.data.shape} vs {b.data.shape}")
-    out, rec = _result(np.einsum("ij,ij->i", a.data, b.data), a, b)
-    if rec:
-        def bwd():
-            g = out.grad[:, None]
-            if a.requires_grad:
-                a.grad += g * b.data
-            if b.requires_grad:
-                b.grad += g * a.data
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        g = g[:, None]
+        if a.requires_grad:
+            a.grad += g * b.data
+        if b.requires_grad:
+            b.grad += g * a.data
+    return custom(np.einsum("ij,ij->i", a.data, b.data), (a, b), bwd)
 
 
 def segment_sum(x: Tensor, segment, n: int, weights=None, rows=None) -> Tensor:
@@ -380,17 +324,15 @@ def segment_sum(x: Tensor, segment, n: int, weights=None, rows=None) -> Tensor:
     w = weights.data if isinstance(weights, Tensor) else weights
     terms = picked if w is None else picked * w[:, None]
     inputs = (x, weights) if isinstance(weights, Tensor) else (x,)
-    out, rec = _result(scatter_rows(terms, segment, n), *inputs)
-    if rec:
-        def bwd():
-            g = out.grad[segment]
-            if x.requires_grad:
-                gx = g if w is None else g * w[:, None]
-                x.grad += gx if rows is None else scatter_rows(gx, rows, x.data.shape[0])
-            if isinstance(weights, Tensor) and weights.requires_grad:
-                weights.grad += np.einsum("ij,ij->i", g, picked)
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        g = g[segment]
+        if x.requires_grad:
+            gx = g if w is None else g * w[:, None]
+            x.grad += gx if rows is None else scatter_rows(gx, rows, x.data.shape[0])
+        if isinstance(weights, Tensor) and weights.requires_grad:
+            weights.grad += np.einsum("ij,ij->i", g, picked)
+    return custom(scatter_rows(terms, segment, n), inputs, bwd)
 
 
 def segment_softmax(z: Tensor, segment, n: int) -> Tensor:
@@ -403,29 +345,24 @@ def segment_softmax(z: Tensor, segment, n: int) -> Tensor:
     np.maximum.at(top, segment, z.data)
     e = np.exp(z.data - top[segment])
     s = e / np.bincount(segment, weights=e, minlength=n)[segment]
-    out, rec = _result(s, z)
-    if rec:
-        def bwd():
-            g = out.grad
-            dot = np.bincount(segment, weights=s * g, minlength=n)
-            z.grad += s * (g - dot[segment])
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        dot = np.bincount(segment, weights=s * g, minlength=n)
+        z.grad += s * (g - dot[segment])
+    return custom(s, (z,), bwd)
 
 
 def sub_rowvec(x: Tensor, v: Tensor) -> Tensor:
     """Subtract a row vector from every row of a matrix."""
     if x.data.ndim != 2 or v.data.ndim != 1 or x.data.shape[1] != v.data.shape[0]:
         raise DimensionError(f"sub_rowvec shapes differ: {x.data.shape} vs {v.data.shape}")
-    out, rec = _result(x.data - v.data[None, :], x, v)
-    if rec:
-        def bwd():
-            if x.requires_grad:
-                x.grad += out.grad
-            if v.requires_grad:
-                v.grad -= out.grad.sum(axis=0)
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        if x.requires_grad:
+            x.grad += g
+        if v.requires_grad:
+            v.grad -= g.sum(axis=0)
+    return custom(x.data - v.data[None, :], (x, v), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +371,10 @@ def sub_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    out, rec = _result(y, x)
-    if rec:
-        def bwd():
-            x.grad += (1.0 - y * y) * out.grad
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        x.grad += (1.0 - y * y) * g
+    return custom(y, (x,), bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -447,34 +382,28 @@ def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                  np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out, rec = _result(y, x)
-    if rec:
-        def bwd():
-            x.grad += y * (1.0 - y) * out.grad
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        x.grad += y * (1.0 - y) * g
+    return custom(y, (x,), bwd)
 
 
 def log(x: Tensor) -> Tensor:
     if np.any(x.data <= 0):
         raise NumericError("log of non-positive value")
-    out, rec = _result(np.log(x.data), x)
-    if rec:
-        def bwd():
-            x.grad += out.grad / x.data
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        x.grad += g / x.data
+    return custom(np.log(x.data), (x,), bwd)
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
     """max(x, floor); gradient is zero in the clamped region."""
     mask = x.data > floor
-    out, rec = _result(np.where(mask, x.data, floor), x)
-    if rec:
-        def bwd():
-            x.grad += mask * out.grad
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        x.grad += mask * g
+    return custom(np.where(mask, x.data, floor), (x,), bwd)
 
 
 def softmax(z: Tensor) -> Tensor:
@@ -484,13 +413,10 @@ def softmax(z: Tensor) -> Tensor:
     shifted = z.data - z.data.max()
     e = np.exp(shifted)
     s = e / e.sum()
-    out, rec = _result(s, z)
-    if rec:
-        def bwd():
-            g = out.grad
-            z.grad += s * (g - np.dot(s, g))
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        z.grad += s * (g - np.dot(s, g))
+    return custom(s, (z,), bwd)
 
 
 def softmax_rows(z: Tensor) -> Tensor:
@@ -500,13 +426,10 @@ def softmax_rows(z: Tensor) -> Tensor:
     shifted = z.data - z.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
-    out, rec = _result(s, z)
-    if rec:
-        def bwd():
-            g = out.grad
-            z.grad += s * (g - (s * g).sum(axis=1, keepdims=True))
-        _push(bwd)
-    return out
+
+    def bwd(g):
+        z.grad += s * (g - (s * g).sum(axis=1, keepdims=True))
+    return custom(s, (z,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ with their per-day labels (and grade when present) so training, evaluation
 and the grade task all read the same structure. The manifest is read
 through `lgbg.schema`: `subjects` must be a list of objects, each with an
 `id` and a `log` string, label days must be decimal day indices and label
-classes integers, and `gpa` and `day_origin` must be numbers.
+classes integers, `gpa` must be a number and `day_origin` an integer.
 """
 
 from __future__ import annotations
@@ -88,4 +88,4 @@ def load_dataset(path) -> Dataset:
                                       labels={int(day): cls for day, cls in labels.items()},
                                       gpa=require(entry, "gpa", float, None)))
     return Dataset(vocab=vocab, subjects=subjects,
-                   day_origin=int(require(manifest, "day_origin", float, 0)))
+                   day_origin=require(manifest, "day_origin", int, 0))

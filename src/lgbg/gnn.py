@@ -194,7 +194,7 @@ def message_passing_layer(states: Tensor, batch: GraphBatch,
         for (name, _), mix in zip(kinds, mixes):
             pre[lo:hi] += mix[lo:hi] @ w[name].data.T
     # tanh would hide an overflow from the output's finite check
-    if nonlinear and ag.CHECK_FINITE and not np.isfinite(pre.sum()):
+    if nonlinear and not np.isfinite(pre.sum()):
         raise NumericError("tensor holds non-finite values")
     y = np.tanh(pre) if nonlinear else pre
 

@@ -79,8 +79,8 @@ class Model:
     """All trainable state plus the frozen embedding table."""
 
     def __init__(self, config: TrainConfig, table: EmbeddingTable,
-                 vocab_digest: str, seed: int | None = None):
-        rng = np.random.default_rng(config.seed if seed is None else seed)
+                 vocab_digest: str):
+        rng = np.random.default_rng(config.seed)
         self.config = config
         self.table = table
         self.vocab_digest = vocab_digest

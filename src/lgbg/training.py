@@ -72,12 +72,11 @@ class TrainResult:
 
 def _batch_eval(model: Model, samples: list[GlobalSample]) -> tuple[float, float]:
     """(mean cross-entropy, accuracy) without gradient recording."""
-    losses, correct = [], 0
-    for s, out in zip(samples, model.forward_all(samples)):
-        p = max(float(out.probs.data[s.label]), PROB_FLOOR)
-        losses.append(-np.log(p))
-        correct += int(out.predicted() == s.label)
-    return float(np.mean(losses)), correct / len(samples)
+    outputs = list(model.forward_all(samples))
+    labels = [s.label for s in samples]
+    loss = cross_entropy([o.probs for o in outputs], labels).item()
+    correct = sum(int(o.predicted() == label) for o, label in zip(outputs, labels))
+    return loss, correct / len(samples)
 
 
 def train(samples: list[GlobalSample], config: TrainConfig, table: EmbeddingTable,

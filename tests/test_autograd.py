@@ -196,6 +196,34 @@ def test_op_gradients_match_finite_differences(name, op, arity, shape):
     assert ag.finite_diff_check(f, params, eps=1e-5) < 1e-5
 
 
+RECORDING = OPS + [
+    ("matmul", lambda a: ag.matmul(a, ag.constant([1.0, -2.0, 0.5])), 1, (4, 3)),
+    ("log", ag.log, 1, (4, 3)),
+    ("softmax", ag.softmax, 1, (5,)),
+]
+# segment_sum_weighted's weights come from a col_mean op of their own.
+TAPE_OPS = {"segment_sum_weighted": 2}
+
+
+@pytest.mark.parametrize("name,op,arity,shape", RECORDING, ids=[o[0] for o in RECORDING])
+def test_op_records_only_under_a_tape_with_an_input_that_needs_a_gradient(
+        name, op, arity, shape):
+    rng = np.random.default_rng(3)
+    values = [rng.uniform(0.5, 2.0, shape) for _ in range(arity)]
+    with Tape() as tape:
+        out = op(*map(ag.parameter, values))
+    assert len(tape) == TAPE_OPS.get(name, 1)
+    assert out.grad.shape == out.data.shape and not out.grad.any()
+
+    with Tape() as constants:
+        out = op(*map(ag.constant, values))
+    assert len(constants) == 0 and out.grad is None
+
+    out = op(*map(ag.parameter, values))
+    assert ag.active_tape() is None
+    assert len(tape) == TAPE_OPS.get(name, 1) and out.grad is None
+
+
 def test_log_and_clamp_gradient():
     x = ag.parameter([0.5, 2.0, 4.0])
 

@@ -604,6 +604,23 @@ def test_malformed_input_exit_2(tmp_path, capsys, target, change, command):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("origin, code", [(0.9, 2), ("x", 2), (3600, 0)])
+def test_manifest_day_origin_must_be_an_integer(tmp_path, capsys, origin, code):
+    inputs = Inputs(tmp_path)
+    manifest = inputs.files["manifest"]
+    doc = json.loads(manifest.read_text())
+    doc["day_origin"] = origin
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(inputs.argv("eval")) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        config = json.loads((tmp_path / "out" / "config.json").read_text())
+        assert config["day_origin"] == origin
+
+
 # Which command reads each fuzzed file kind.
 READER = {"spec": "synth", "manifest": "eval", "vocab": "eval", "config": "eval",
           "checkpoint": "eval", "log": "build-graph"}

@@ -168,7 +168,6 @@ def test_empty_training_set_rejected():
 
 def test_nan_loss_aborts_with_dump(tmp_path, monkeypatch):
     _, config, table, samples = tiny_dataset(subjects=2, days=5, seed=6)
-    monkeypatch.setattr(ag, "CHECK_FINITE", False)
     monkeypatch.setattr(training, "total_loss",
                         lambda outs, labels, lam: Tensor(np.nan, requires_grad=True))
     with pytest.raises(NumericError, match="offending batch"):
