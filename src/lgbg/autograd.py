@@ -70,19 +70,12 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(arr) if requires_grad else None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def constant(data) -> Tensor:
@@ -188,8 +181,11 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors along `axis`; one tensor is returned as it is."""
     if not parts:
         raise DimensionError("concat of zero tensors")
+    if len(parts) == 1:
+        return parts[0]
 
     def bwd(g):
         offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
@@ -220,8 +216,6 @@ def scatter_rows(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     rows that go elsewhere. One `bincount` over flat indices does this far
     faster than `np.add.at` on a matrix.
     """
-    if values.ndim == 1:
-        return np.bincount(idx, weights=values, minlength=n)
     width = values.shape[1]
     flat = (idx[:, None] * width + np.arange(width)).ravel()
     return np.bincount(flat, weights=values.ravel(), minlength=n * width).reshape(n, width)

@@ -324,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        # Every Tensor is checked for NaN and Inf and raises NumericError;
+        # numpy's overflow warnings would only repeat that failure.
+        with np.errstate(all="ignore"):
+            return args.run(args)
     except (NumericError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

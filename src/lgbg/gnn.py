@@ -14,10 +14,11 @@ edge kind and three matrix products per stream, whatever the batch size. A
 pointwise tanh follows each layer unless `linear_layers` is set. A layer is
 one tape op: its backward is written out to accumulate in the same order
 as the backward of the small ops it is made of, so it gives the same bits
-as they would. Graph
-readout combines a node-attention pool (semantic) with an edge-attention
-pool queried by it (structural); each softmax runs within one graph, as
-GAT's runs within one neighbourhood (Veličković et al., arXiv 1710.10903).
+as they would. Graph readout combines a node-attention pool (semantic) with
+an edge-attention pool queried by it (structural); each softmax runs within
+one graph, as GAT's runs within one neighbourhood (Veličković et al., arXiv
+1710.10903). A batch has one `GraphReadout`, its rows spanning every graph;
+`GraphReadout.export(k)` reads graph k's part in the inspection layout.
 
 Node order, edge indices and edge weights come from each graph's own
 `arrays` (see `graphs.GraphArrays`), which this module only reads. Each
@@ -37,7 +38,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .config import TrainConfig
 from .embeddings import EmbeddingTable
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, NumericError, ValidationError
 from .graphs import HETEROGENEOUS, HOMOGENEOUS, GraphArrays, LocalContextGraph
 from .streams import STREAMS
 
@@ -276,66 +277,17 @@ class GraphReadout:
     node_attention: np.ndarray
     edge_attention: np.ndarray | None
 
-
-@dataclass(frozen=True)
-class LocalGraphRep:
-    """Readout of one day graph, read on access from row `index` of its
-    batch's `GraphReadout`, in the graph's own node and edge order.
-
-    A day with no events has no readout and reads as the learned empty-day
-    vector, so spans containing a silent day stay trainable.
-    """
-
-    readout: GraphReadout | None
-    index: int
-    empty_day: Tensor
-
-    @property
-    def empty(self) -> bool:
-        return self.readout is None
-
-    @property
-    def rep(self) -> Tensor:
-        """The dp-dimensional day representation."""
-        if self.empty:
-            return self.empty_day
-        return ag.gather_rows(self.readout.rep, self.index)
-
-    @property
-    def g_s(self) -> Tensor | None:
-        return None if self.empty else ag.constant(self.readout.g_s.data[self.index])
-
-    @property
-    def g_e(self) -> Tensor | None:
-        return None if self.empty else ag.constant(self.readout.g_e.data[self.index])
-
-    @property
-    def node_keys(self) -> list[tuple[str, str]]:
-        return [] if self.empty else self.readout.parts[self.index].node_keys
-
-    @property
-    def edge_keys(self) -> list[tuple[str, str, str, str, str]]:
-        if self.empty:
-            return []
-        dropped = self.readout.batch.dropped
-        return [key for key in self.readout.parts[self.index].edge_keys
-                if key[4] not in dropped]
-
-    @property
-    def node_rows(self) -> np.ndarray:
-        """The graph's rows in the batch, in canonical order."""
-        return self.readout.batch.graph_rows[self.index]
-
-    @property
-    def node_attention(self) -> np.ndarray | None:
-        return None if self.empty else self.readout.node_attention[self.node_rows]
-
-    @property
-    def edge_attention(self) -> np.ndarray | None:
-        if self.empty:
-            return None
-        lo, hi = self.readout.batch.edge_start[self.index:self.index + 2]
-        return self.readout.edge_attention[lo:hi] if hi > lo else None
+    def export(self, k: int) -> dict:
+        """Graph k in the inspection layout, in its own node and edge order."""
+        lo, hi = self.batch.edge_start[k:k + 2]
+        edges = [e for e in self.parts[k].edge_keys if e[4] not in self.batch.dropped]
+        return {"nodes": [{"stream": s, "concept": c} for s, c in self.parts[k].node_keys],
+                "node_attention": self.node_attention[self.batch.graph_rows[k]].tolist(),
+                "edges": [{"src": {"stream": e[0], "concept": e[1]},
+                           "dst": {"stream": e[2], "concept": e[3]}, "kind": e[4]}
+                          for e in edges],
+                "edge_attention": self.edge_attention[lo:hi].tolist() if hi > lo else None,
+                "empty": False}
 
 
 def graph_forward(parts: Sequence[GraphArrays], table: EmbeddingTable,
@@ -363,9 +315,8 @@ def graph_forward(parts: Sequence[GraphArrays], table: EmbeddingTable,
 
 
 def local_graph_forward(graph: LocalContextGraph, table: EmbeddingTable,
-                        params: GnnParams, config: TrainConfig) -> LocalGraphRep:
-    """Readout of one day graph: a batch of one, or the empty day."""
+                        params: GnnParams, config: TrainConfig) -> GraphReadout:
+    """Readout of one non-empty day graph, as a batch of one."""
     if graph.is_empty():
-        return LocalGraphRep(None, 0, params.empty_day)
-    return LocalGraphRep(graph_forward([graph.arrays], table, params, config), 0,
-                         params.empty_day)
+        raise ValidationError("an empty day has no graph readout")
+    return graph_forward([graph.arrays], table, params, config)

@@ -7,9 +7,12 @@ must be finite and fit the shape the config gives it.
 Every caller forwards through `Model.forward_batch`: the distinct non-empty
 day graphs of a batch of samples go through the graph network together, as
 one disjoint union, and each sample's span of day representations then goes
-through temporal attention and the classifier. Training forwards one
-training batch at a time; untaped callers use `forward_all`, which forwards
-`batch_size` samples at a time, so a union never holds more than one batch.
+through temporal attention and the classifier. A batch has one output, a
+`BatchOutput` of matrices with one row per sample; a sample's
+`SampleOutput` is a view of one row of it and records no op of its own.
+Training forwards one training batch at a time; untaped callers use
+`forward_all`, which forwards `batch_size` samples at a time, so a union
+never holds more than one batch.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .autograd import Tensor
 from .config import TrainConfig, config_from_dict
 from .embeddings import EmbeddingTable
 from .errors import ParseError, ValidationError
-from .gnn import GnnParams, LocalGraphRep, graph_forward
+from .gnn import GnnParams, GraphReadout, graph_forward
 from .graphs import GlobalSample
 from .schema import read_json, require, require_array, write_text
 from .streams import Vocabulary
@@ -34,45 +37,54 @@ from .temporal import TemporalParams, classify, span_attention
 CHECKPOINT_FORMAT = 1
 
 
-@dataclass
+@dataclass(frozen=True)
+class BatchOutput:
+    """What `Model.forward_batch` computes, one row per sample."""
+
+    probs: Tensor                     # n x 4 class probabilities
+    g_star: np.ndarray                # n x dp pooled representations
+    readout: GraphReadout | None      # the union of the non-empty days
+    days: list[list[int]]             # each sample's days as readout graphs; -1 is empty
+    day_attention: list[np.ndarray]   # each sample's T x T attention
+
+
+@dataclass(frozen=True)
 class SampleOutput:
-    probs: Tensor                     # 4 class probabilities
-    g_star: np.ndarray                # pooled representation
-    day_reps: list[LocalGraphRep]
-    day_attention: np.ndarray        # T x T
+    """Row `index` of a batch's output, read on access."""
+
+    batch: BatchOutput
+    index: int
+
+    @property
+    def probs(self) -> Tensor:                  # 4 class probabilities, untaped
+        return ag.constant(self.batch.probs.data[self.index])
+
+    @property
+    def g_star(self) -> np.ndarray:
+        return self.batch.g_star[self.index]
+
+    @property
+    def day_attention(self) -> np.ndarray:
+        return self.batch.day_attention[self.index]
 
     def predicted(self) -> int:
-        return int(np.argmax(self.probs.data))
+        return int(np.argmax(self.batch.probs.data[self.index]))
 
-    def node_states(self) -> Tensor | None:
-        """Final node states of every non-empty day, day by day, each day's
-        in its canonical order. A day that two samples of a batch share is
-        computed once but counted once in each of them."""
-        days = [r for r in self.day_reps if not r.empty]
-        if not days:
-            return None
-        # Every day of a sample is in the readout of the sample's batch.
-        return ag.gather_rows(days[0].readout.states,
-                              np.concatenate([r.node_rows for r in days]))
+    def node_rows(self) -> np.ndarray:
+        """Rows of the readout's node states of every non-empty day, day by
+        day, each day's in its canonical order. A day that two samples of a
+        batch share is computed once but listed in each of them."""
+        rows = [self.batch.readout.batch.graph_rows[k]
+                for k in self.batch.days[self.index] if k >= 0]
+        return np.concatenate(rows) if rows else np.zeros(0, np.intp)
 
     def attention_export(self) -> dict:
         """Attention weights in the documented inspection layout."""
-        days = []
-        for rep in self.day_reps:
-            days.append({
-                "nodes": [{"stream": s, "concept": c} for s, c in rep.node_keys],
-                "node_attention": None if rep.node_attention is None
-                else [float(v) for v in rep.node_attention],
-                "edges": [{"src": {"stream": k[0], "concept": k[1]},
-                           "dst": {"stream": k[2], "concept": k[3]},
-                           "kind": k[4]} for k in rep.edge_keys],
-                "edge_attention": None if rep.edge_attention is None
-                else [float(v) for v in rep.edge_attention],
-                "empty": rep.empty,
-            })
-        return {"days": days,
-                "day_attention": [[float(v) for v in row]
-                                  for row in self.day_attention]}
+        days = [self.batch.readout.export(k) if k >= 0 else
+                {"nodes": [], "node_attention": None, "edges": [],
+                 "edge_attention": None, "empty": True}
+                for k in self.batch.days[self.index]]
+        return {"days": days, "day_attention": self.day_attention.tolist()}
 
 
 class Model:
@@ -96,29 +108,27 @@ class Model:
         return list(self.named_parameters().values())
 
     def forward_batch(self, samples: Sequence[GlobalSample]) -> list[SampleOutput]:
-        """One output per sample. Each distinct day graph (by identity) is
-        forwarded once, all of them in one union, and every span through
-        temporal attention and the classifier together."""
+        """One output per sample, each a view of one row of the batch's. Each
+        distinct day graph (by identity) is forwarded once, all in one union,
+        and every span through temporal attention and the classifier together."""
         graphs = list({id(g): g for s in samples for g in s.graphs
                        if not g.is_empty()}.values())
         index = {id(g): k for k, g in enumerate(graphs)}
+        days = [[index.get(id(g), -1) for g in s.graphs] for s in samples]
         readout = None
         day_table = ag.stack_rows([self.gnn.empty_day])
         if graphs:
             readout = graph_forward([g.arrays for g in graphs], self.table,
                                     self.gnn, self.config)
             day_table = ag.concat([readout.rep, day_table], axis=0)
-        # Row k of day_table is days[k]; the last row is the empty day.
-        days = [LocalGraphRep(readout, k, self.gnn.empty_day) for k in range(len(graphs))]
-        days.append(LocalGraphRep(None, 0, self.gnn.empty_day))
-        rows = [[index.get(id(g), len(graphs)) for g in s.graphs] for s in samples]
-        g_star, attention = span_attention(ag.gather_rows(day_table, np.concatenate(rows)),
-                                           [len(r) for r in rows], self.temporal,
+        # Row k of day_table is graph k's; the last row, for -1, is the empty day.
+        rows = np.concatenate(days) % (len(graphs) + 1)
+        g_star, attention = span_attention(ag.gather_rows(day_table, rows),
+                                           [len(d) for d in days], self.temporal,
                                            self.config)
-        probs = classify(g_star, self.temporal)
-        return [SampleOutput(probs=ag.gather_rows(probs, b), g_star=g_star.data[b],
-                             day_reps=[days[k] for k in r], day_attention=attention[b])
-                for b, r in enumerate(rows)]
+        out = BatchOutput(probs=classify(g_star, self.temporal), g_star=g_star.data,
+                          readout=readout, days=days, day_attention=attention)
+        return [SampleOutput(out, b) for b in range(len(samples))]
 
     def forward(self, sample: GlobalSample) -> SampleOutput:
         return self.forward_batch([sample])[0]

@@ -32,10 +32,11 @@ import numpy as np
 from .errors import ValidationError
 from .graphs import heterogeneous_edges, homogeneous_edges
 from .schema import build, read_json
-from .streams import (ACTIVITY, AUDIO, LOCATION, ConceptEvent, SECONDS_PER_DAY,
-                      Vocabulary, sort_events)
+from .streams import (ACTIVITY, AUDIO, LOCATION, MAX_DAYS, ConceptEvent,
+                      SECONDS_PER_DAY, Vocabulary, sort_events)
 
 MECHANISMS = ("node", "transition", "cooccurrence", "combined")
+MAX_SUBJECTS = 1000   # subject ids s000..s999
 
 SIGNATURES = ("dorm", "library", "gym", "cafe")   # class 0..3 signature locations
 CYCLES = (
@@ -69,6 +70,11 @@ class ScenarioSpec:
             raise ValidationError("noise must lie in [0, 1]")
         if self.subjects < 1 or self.days < 1:
             raise ValidationError("subjects and days must be positive")
+        if self.subjects > MAX_SUBJECTS:
+            raise ValidationError(f"subjects must be at most {MAX_SUBJECTS}")
+        if self.days > MAX_DAYS:
+            raise ValidationError(f"days must be at most {MAX_DAYS}, the longest "
+                                  f"dataset lgbg reads")
         if self.seed < 0 or self.gpa_noise < 0:
             raise ValidationError("seed and gpa_noise must be >= 0")
 

@@ -23,11 +23,11 @@ from .streams import FEATURE_DIM, Vocabulary, behavior_feature, day_span, day_wi
 PROB_FLOOR = 1e-12
 
 
-def cross_entropy(probs: list[Tensor], labels: list[int]) -> Tensor:
-    """Mean of -log p[label] over the batch; zero probabilities clamp to 1e-12."""
-    if len(probs) != len(labels) or not probs:
+def cross_entropy(probs: Tensor, labels: list[int]) -> Tensor:
+    """Mean of -log p[label] over the rows of n x 4 `probs`; zeros clamp to 1e-12."""
+    if probs.data.ndim != 2 or probs.data.shape[0] != len(labels) or not labels:
         raise ValidationError("probabilities and labels must pair up")
-    picked = ag.pick(ag.stack_rows(probs), (np.arange(len(labels)), np.asarray(labels)))
+    picked = ag.pick(probs, (np.arange(len(labels)), np.asarray(labels)))
     return ag.mean(ag.neg(ag.log(ag.clamp_min(picked, PROB_FLOOR))))
 
 
@@ -40,18 +40,35 @@ def node_variance_loss(state_matrices: list[Tensor]) -> Tensor:
     total_rows = sum(m.data.shape[0] for m in mats)
     if total_rows < 2:
         return ag.constant(-0.5)
-    stacked = mats[0] if len(mats) == 1 else ag.concat(mats, axis=0)
+    stacked = ag.concat(mats, axis=0)
     centered = ag.sub_rowvec(stacked, ag.col_mean(stacked))
     variances = ag.col_mean(ag.mul(centered, centered))
     return ag.neg(ag.sigmoid(ag.mean(variances)))
 
 
+def _joined(outputs: list[SampleOutput], matrix) -> tuple[Tensor | None, dict[int, int]]:
+    """The matrices `matrix(batch)` of the distinct batches of `outputs`,
+    joined row-wise (None adds no rows), and each batch's first row there."""
+    mats = {id(o.batch): matrix(o.batch) for o in outputs}
+    sizes = [0 if m is None else m.data.shape[0] for m in mats.values()]
+    parts = [m for m in mats.values() if m is not None]
+    start = dict(zip(mats, np.cumsum([0] + sizes).tolist()))
+    return (ag.concat(parts, axis=0) if parts else None), start
+
+
 def total_loss(outputs: list[SampleOutput], labels: list[int],
                lam: float) -> Tensor:
-    """Classification loss plus lambda times the node variance constraint."""
-    ce = cross_entropy([o.probs for o in outputs], labels)
-    states = [o.node_states() for o in outputs]
-    return ag.add(ce, ag.mul(node_variance_loss(states), lam))
+    """Classification loss plus lambda times the node variance constraint,
+    each read by one gather from the join of the outputs' batches (a
+    training step has one). A day that two outputs share counts in each."""
+    probs, start = _joined(outputs, lambda b: b.probs)
+    ce = cross_entropy(ag.gather_rows(probs, [start[id(o.batch)] + o.index
+                                              for o in outputs]), labels)
+    states, start = _joined(outputs, lambda b: None if b.readout is None
+                            else b.readout.states)
+    rows = np.concatenate([start[id(o.batch)] + o.node_rows() for o in outputs])
+    nodes = ag.gather_rows(states, rows) if rows.size else None
+    return ag.add(ce, ag.mul(node_variance_loss([nodes]), lam))
 
 
 @dataclass
@@ -74,7 +91,8 @@ def _batch_eval(model: Model, samples: list[GlobalSample]) -> tuple[float, float
     """(mean cross-entropy, accuracy) without gradient recording."""
     outputs = list(model.forward_all(samples))
     labels = [s.label for s in samples]
-    loss = cross_entropy([o.probs for o in outputs], labels).item()
+    # forward_all's outputs run batch by batch, so the join is in sample order.
+    loss = cross_entropy(_joined(outputs, lambda b: b.probs)[0], labels).item()
     correct = sum(int(o.predicted() == label) for o, label in zip(outputs, labels))
     return loss, correct / len(samples)
 

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgbg import schema
+from lgbg import cli, schema
 from lgbg.cli import main
 from lgbg.config import TrainConfig
 from lgbg.dataset import load_dataset, write_dataset
 from lgbg.embeddings import EmbeddingTable
 from lgbg.model import Model
-from lgbg.streams import Vocabulary
-from lgbg.synth import ScenarioSpec, generate
+from lgbg.streams import MAX_DAYS, Vocabulary
+from lgbg.synth import MAX_SUBJECTS, ScenarioSpec, generate
 
 DATA = Path(__file__).parent / "data"
 
@@ -218,6 +218,19 @@ def test_synth_rejects_bad_mechanism(tmp_path, capsys):
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("size", [{"subjects": 10**9, "days": 10**9},
+                                  {"days": MAX_DAYS + 75},
+                                  {"subjects": MAX_SUBJECTS + 1}])
+def test_synth_rejects_oversized_spec_before_generating(tmp_path, capsys, monkeypatch,
+                                                        size):
+    monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generation started"))
+    spec = write_spec(tmp_path / "spec.json", **size)
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -388,6 +401,20 @@ def test_train_with_embedding_file(tmp_path, synth_dir):
     assert ckpt["embeddings"]["source"] == "file"
 
 
+@pytest.mark.parametrize("value, line", [("x0.5", 2), ("nan", 3)])
+def test_train_bad_embedding_value_exit_2_with_line(tmp_path, synth_dir, capsys,
+                                                    value, line):
+    emb = tmp_path / "emb.txt"
+    rows = ["walking " + " ".join(["0.5"] * 8)] * line
+    rows[line - 1] = "dorm " + " ".join(["0.5"] * 7 + [value])
+    emb.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+                 "--embeddings", str(emb)] + FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1, err
+
+
 def test_linear_layers_flag(synth_dir, tmp_path):
     out = tmp_path / "run"
     code = main(["train", "--data", str(synth_dir), "--out", str(out),
@@ -463,6 +490,36 @@ def test_inspect_unknown_sample_exit_2(synth_dir, tmp_path, capsys):
                  "--data", str(synth_dir), "--sample", "sXXX:2",
                  "--out", str(tmp_path / "x.json")])
     assert code == 2
+
+
+def test_inspect_sample_without_colon_exit_2(tmp_path, capsys):
+    inputs = Inputs(tmp_path)
+    capsys.readouterr()
+    assert main(["inspect", "--checkpoint", str(inputs.files["checkpoint"]),
+                 "--data", str(tmp_path / "data"), "--sample", "nocolon",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --sample must look like subject:day, got 'nocolon'\n", err
+
+
+# ---------------------------------------------------------------------------
+# numeric failure: exit 1 with one error line
+
+
+def test_overflowing_checkpoint_exit_1_with_one_line(tmp_path, capsys):
+    inputs = Inputs(tmp_path)
+    path = inputs.files["checkpoint"]
+    doc = json.loads(path.read_text())
+    doc["embeddings"]["vectors"] = [[1e300] * len(v) for v in doc["embeddings"]["vectors"]]
+    for stored in doc["params"].values():
+        stored["data"] = [1e300] * len(stored["data"])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(inputs.argv("eval")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from lgbg import autograd as ag
 from lgbg.config import TrainConfig
 from lgbg.embeddings import EmbeddingTable
-from lgbg.errors import NumericError
+from lgbg.errors import NumericError, ValidationError
 from lgbg.gnn import (GnnParams, batch_graphs, edge_embeddings, initial_states,
                       local_graph_forward, message_passing_layer, semantic_pool,
                       structural_pool)
@@ -15,6 +15,7 @@ from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GlobalSample, GraphEdge,
                          LocalContextGraph, build_local_graph)
 from lgbg.model import Model
 from lgbg.streams import ACTIVITY, AUDIO, LOCATION
+from lgbg.temporal import span_attention
 from lgbg.training import node_variance_loss
 
 from conftest import ev, one_day
@@ -364,9 +365,18 @@ def test_zero_layers_pools_raw_scaled_embeddings(vocab, small_table):
 def test_empty_graph_uses_empty_day_vector(vocab, small_table, small_config):
     graph = LocalContextGraph(day_index=0)
     params = make_params(small_config)
-    rep = local_graph_forward(graph, small_table, params, small_config)
-    assert rep.empty
-    assert rep.rep is params.empty_day
+    with pytest.raises(ValidationError):
+        local_graph_forward(graph, small_table, params, small_config)
+
+    model = Model(small_config, small_table, "")
+    model.gnn.empty_day.data[...] = np.random.default_rng(5).uniform(-1, 1, small_config.dp)
+    out = model.forward(GlobalSample(graphs=[graph] * 3, label=0, subject="s",
+                                     anchor_day=2))
+    want, _ = span_attention(ag.constant(np.tile(model.gnn.empty_day.data, (3, 1))),
+                             [3], model.temporal, small_config)
+    assert out.batch.readout is None and out.node_rows().size == 0
+    assert np.array_equal(out.g_star, want.data[0])
+    assert all(day["empty"] for day in out.attention_export()["days"])
 
 
 def test_edgeless_graph_zero_structural(vocab, small_table, small_config):
@@ -374,7 +384,7 @@ def test_edgeless_graph_zero_structural(vocab, small_table, small_config):
     graph = build_local_graph(one_day(streams), vocab, small_table)
     params = make_params(small_config)
     rep = local_graph_forward(graph, small_table, params, small_config)
-    assert np.array_equal(rep.g_e.data, np.zeros(small_config.de))
+    assert np.array_equal(rep.g_e.data, np.zeros((1, small_config.de)))
     assert rep.edge_attention is None
 
 
@@ -422,7 +432,7 @@ def test_one_graph_under_each_ablation_matches_fresh_graph(vocab, small_table,
         want = local_graph_forward(mixed_graph(vocab, small_table), small_table,
                                    params, config)
         assert np.array_equal(got.rep.data, want.rep.data)
-        assert got.edge_keys == want.edge_keys
+        assert got.export(0)["edges"] == want.export(0)["edges"]
         assert np.array_equal(got.edge_attention, want.edge_attention)
 
 
@@ -522,14 +532,16 @@ def test_sample_output_does_not_depend_on_its_batch(vocab, small_table, small_co
                 want = alone[id(s)]
                 assert np.max(np.abs(out.probs.data - want.probs.data)) <= 1e-12
                 assert np.max(np.abs(out.day_attention - want.day_attention)) <= 1e-12
-                for got_day, want_day in zip(out.day_reps, want.day_reps):
-                    assert got_day.edge_keys == want_day.edge_keys
-                    assert all((key[4] == HOMOGENEOUS and config.use_homogeneous) or
-                               (key[4] == HETEROGENEOUS and config.use_heterogeneous)
-                               for key in got_day.edge_keys)
-                    assert (got_day.edge_attention is None) == (want_day.edge_attention is None)
-                    assert len(got_day.edge_keys) == (0 if got_day.edge_attention is None
-                                                      else len(got_day.edge_attention))
+                for got_day, want_day in zip(out.attention_export()["days"],
+                                             want.attention_export()["days"]):
+                    assert got_day["edges"] == want_day["edges"]
+                    assert all((e["kind"] == HOMOGENEOUS and config.use_homogeneous) or
+                               (e["kind"] == HETEROGENEOUS and config.use_heterogeneous)
+                               for e in got_day["edges"])
+                    assert ((got_day["edge_attention"] is None)
+                            == (want_day["edge_attention"] is None))
+                    assert len(got_day["edges"]) == (0 if got_day["edge_attention"] is None
+                                                     else len(got_day["edge_attention"]))
 
 
 def test_node_variance_counts_a_shared_day_once_per_sample(vocab, small_table,
@@ -538,10 +550,13 @@ def test_node_variance_counts_a_shared_day_once_per_sample(vocab, small_table,
     batch = [samples[0], samples[2], samples[0], samples[3]]
     model = Model(small_config, small_table, "")
     outs = model.forward_batch(batch)
-    got = node_variance_loss([o.node_states() for o in outs]).item()
+    states = outs[0].batch.readout.states
+    got = node_variance_loss(
+        [ag.gather_rows(states, np.concatenate([o.node_rows() for o in outs]))]).item()
 
-    per_sample = [model.forward(s).node_states() for s in batch]
-    rows = np.concatenate([m.data for m in per_sample if m is not None])
+    per_sample = [model.forward(s) for s in batch]
+    rows = np.concatenate([o.batch.readout.states.data[o.node_rows()]
+                           for o in per_sample if o.batch.readout is not None])
     assert rows.shape[0] == sum(
         len(g.nodes) for s in batch for g in s.graphs)      # mixed counted 4 times
     centered = rows - rows.mean(axis=0)

@@ -3,7 +3,7 @@ import pytest
 
 from lgbg import autograd as ag
 from lgbg import training
-from lgbg.autograd import Tensor
+from lgbg.autograd import Tape, Tensor
 from lgbg.config import TrainConfig
 from lgbg.embeddings import EmbeddingTable
 from lgbg.errors import NumericError, ValidationError
@@ -35,26 +35,25 @@ def tiny_dataset(mechanism="combined", subjects=3, days=6, seed=5,
 
 
 def test_cross_entropy_perfect_prediction_zero():
-    probs = ag.constant([0.0 + 1e-300, 1.0, 0.0, 0.0])
-    assert cross_entropy([probs], [1]).item() == pytest.approx(0.0, abs=1e-12)
+    probs = ag.constant([[0.0 + 1e-300, 1.0, 0.0, 0.0]])
+    assert cross_entropy(probs, [1]).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_entropy_uniform_is_ln4():
-    probs = ag.constant([0.25] * 4)
-    assert cross_entropy([probs], [2]).item() == pytest.approx(np.log(4), abs=1e-12)
+    probs = ag.constant([[0.25] * 4])
+    assert cross_entropy(probs, [2]).item() == pytest.approx(np.log(4), abs=1e-12)
 
 
 def test_cross_entropy_batch_mean_of_hand_values():
-    ps = [ag.constant([0.7, 0.1, 0.1, 0.1]), ag.constant([0.25] * 4),
-          ag.constant([0.05, 0.05, 0.8, 0.1])]
+    ps = ag.constant([[0.7, 0.1, 0.1, 0.1], [0.25] * 4, [0.05, 0.05, 0.8, 0.1]])
     labels = [0, 3, 2]
     want = -(np.log(0.7) + np.log(0.25) + np.log(0.8)) / 3
     assert cross_entropy(ps, labels).item() == pytest.approx(want, abs=1e-12)
 
 
 def test_cross_entropy_clamps_zero_probability():
-    probs = ag.constant([0.0, 1.0, 0.0, 0.0])
-    value = cross_entropy([probs], [0]).item()
+    probs = ag.constant([[0.0, 1.0, 0.0, 0.0]])
+    value = cross_entropy(probs, [0]).item()
     assert value == pytest.approx(-np.log(1e-12), abs=1e-9)
 
 
@@ -99,7 +98,7 @@ def test_total_loss_lambda_zero_is_cross_entropy():
     model = Model(config, table, "")
     outs = [model.forward(s) for s in samples[:3]]
     labels = [s.label for s in samples[:3]]
-    ce = cross_entropy([o.probs for o in outs], labels).item()
+    ce = cross_entropy(ag.constant([o.probs.data for o in outs]), labels).item()
     assert total_loss(outs, labels, 0.0).item() == pytest.approx(ce, abs=1e-12)
 
 
@@ -122,6 +121,20 @@ def test_total_loss_gradients_match_finite_differences():
     err = ag.finite_diff_check(f, model.parameters(), eps=1e-5,
                                coords_per_param=3, seed=0)
     assert err < 1e-4
+
+
+def test_loss_records_the_same_tape_ops_for_every_batch_size():
+    _, config, table, samples = tiny_dataset(subjects=3, days=9, seed=5)
+    samples = [s for s in samples if all(g.edges for g in s.graphs)]
+    assert len(samples) >= 16
+    model = Model(config, table, "")
+    counts = []
+    for n in (1, 4, 16):
+        batch = samples[:n]
+        with Tape() as tape:
+            total_loss(model.forward_batch(batch), [s.label for s in batch], config.lam)
+        counts.append(len(tape))
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 # ---------------------------------------------------------------------------
