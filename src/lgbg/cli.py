@@ -51,7 +51,7 @@ _CONFIG_FLAGS = [
 
 
 # Fields that `eval --checkpoint` takes from the checkpoint; a flag or a
-# config key that sets one of them otherwise draws a warning.
+# config key that sets one of them otherwise draws a warning (`_fixed`).
 _CHECKPOINT_FIELDS = ("d", "de", "dp", "layers", "span", "use_homogeneous",
                       "use_heterogeneous", "linear_layers")
 
@@ -95,8 +95,14 @@ def _config_and_given(args) -> tuple[TrainConfig, set[str]]:
     return config_from_dict(overrides, config), given | set(overrides)
 
 
-def _effective_config(args) -> TrainConfig:
-    return _config_and_given(args)[0]
+def _fixed(config: TrainConfig, given: set[str], fixed: dict, source: str) -> TrainConfig:
+    """`config` with the `fixed` values, which `source` sets; one warning per
+    field that a flag or config key set to another value."""
+    for name, value in fixed.items():
+        if name in given and getattr(config, name) != value:
+            print(f"warning: {name} {json.dumps(getattr(config, name))} is ignored; "
+                  f"the {source}'s {json.dumps(value)} is used", file=sys.stderr)
+    return config.replace(**fixed)
 
 
 def _table_for(args, vocab: Vocabulary, config: TrainConfig) -> EmbeddingTable:
@@ -107,7 +113,7 @@ def _table_for(args, vocab: Vocabulary, config: TrainConfig) -> EmbeddingTable:
 
 def cmd_build_graph(args) -> int:
     vocab = Vocabulary.load(args.vocab)
-    config = _effective_config(args)
+    config, _ = _config_and_given(args)
     parsed = parse_event_log(args.log, vocab)
     table = _table_for(args, vocab, config)
     out = Path(args.out)
@@ -136,9 +142,9 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _effective_config(args)
+    config, given = _config_and_given(args)
     data = load_dataset(args.data)
-    config = config.replace(day_origin=data.day_origin)
+    config = _fixed(config, given, {"day_origin": data.day_origin}, "dataset")
     table = _table_for(args, data.vocab, config)
     samples = data.samples(config.span, table)
     out = Path(args.out)
@@ -162,18 +168,15 @@ def cmd_eval(args) -> int:
                               "the checkpoint holds its own embedding table")
     config, given = _config_and_given(args)
     data = load_dataset(args.data)
-    config = config.replace(day_origin=data.day_origin)
+    config = _fixed(config, given, {"day_origin": data.day_origin}, "dataset")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.checkpoint:
         model = Model.load(args.checkpoint, vocab=data.vocab)
         # The echoed config is the one the checkpoint's model runs with.
-        fixed = {k: getattr(model.config, k) for k in _CHECKPOINT_FIELDS}
-        for name, value in fixed.items():
-            if name in given and getattr(config, name) != value:
-                print(f"warning: {name} {json.dumps(getattr(config, name))} is ignored; "
-                      f"the checkpoint's {json.dumps(value)} is used", file=sys.stderr)
-        config = config.replace(**fixed, batch_size=model.config.batch_size)
+        config = _fixed(config, given,
+                        {k: getattr(model.config, k) for k in _CHECKPOINT_FIELDS},
+                        "checkpoint").replace(batch_size=model.config.batch_size)
         samples = data.samples(config.span, model.table)
         tasks = split_protocol(len(samples), config.splits, config.seed)
         reports = [evaluate(model, [samples[j] for j in test], task=f"task-{i + 1}")
@@ -227,18 +230,13 @@ def cmd_inspect(args) -> int:
 
 def _gradcheck_setup(seed: int):
     """Small but full-coverage model plus a 2-sample batch for checking."""
-    from .graphs import build_samples
     from .training import total_loss
 
     config = TrainConfig(d=8, de=6, dp=10, layers=2, span=3, seed=seed)
     dataset = generate(ScenarioSpec(mechanism="combined", subjects=2, days=4,
                                     seed=seed))
     table = EmbeddingTable.fallback(dataset.vocab, config.d, config.seed)
-    samples = []
-    for rec in dataset.subjects:
-        samples += build_samples(rec.streams, rec.labels, config.span,
-                                 dataset.vocab, table, subject=rec.subject)
-    samples = samples[:2]
+    samples = dataset.samples(config.span, table)[:2]
     model = Model(config, table, dataset.vocab.digest())
 
     def loss_fn():

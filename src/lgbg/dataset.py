@@ -1,6 +1,8 @@
-"""On-disk dataset layout shared by the CLI commands.
+"""The one dataset type and its on-disk layout.
 
-A dataset directory holds `dataset.json` (the manifest), `vocab.json` and one
+A `Dataset` is made by `load_dataset` from a directory and by
+`synth.generate` from a scenario spec; `write_dataset` writes either. A
+dataset directory holds `dataset.json` (the manifest), `vocab.json` and one
 JSON-lines event log per subject under `logs/`. The manifest lists subjects
 with their per-day labels (and grade when present) so training, evaluation
 and the grade task all read the same structure. The manifest is read
@@ -19,7 +21,6 @@ from .errors import ParseError
 from .graphs import GlobalSample, build_samples
 from .schema import read_json, require, write_text
 from .streams import (ConceptEvent, Vocabulary, parse_event_log, write_event_log)
-from .synth import SynthDataset
 
 MANIFEST = "dataset.json"
 VOCAB_FILE = "vocab.json"
@@ -31,6 +32,7 @@ class SubjectRecord:
     streams: dict[str, list[ConceptEvent]]
     labels: dict[int, int] = field(default_factory=dict)
     gpa: float | None = None
+    day_classes: dict[int, int] = field(default_factory=dict)  # planted; empty when loaded
 
 
 @dataclass
@@ -38,6 +40,7 @@ class Dataset:
     vocab: Vocabulary
     subjects: list[SubjectRecord]
     day_origin: int = 0
+    scenario: dict | None = None  # the generating spec's dict; None when loaded
 
     def samples(self, span: int, table) -> list[GlobalSample]:
         out = []
@@ -47,13 +50,8 @@ class Dataset:
                                      day_origin=self.day_origin))
         return out
 
-    def cohort(self) -> list[tuple[str, dict, float]]:
-        """(subject, streams, gpa) triples for the grade task."""
-        return [(r.subject, r.streams, r.gpa) for r in self.subjects
-                if r.gpa is not None]
 
-
-def write_dataset(dataset: SynthDataset, out_dir) -> Path:
+def write_dataset(dataset: Dataset, out_dir) -> Path:
     out = Path(out_dir)
     (out / "logs").mkdir(parents=True, exist_ok=True)
     dataset.vocab.save(out / VOCAB_FILE)
@@ -66,8 +64,8 @@ def write_dataset(dataset: SynthDataset, out_dir) -> Path:
         if rec.gpa is not None:
             entry["gpa"] = rec.gpa
         subjects.append(entry)
-    manifest = {"format": 1, "day_origin": 0, "scenario": dataset.spec.to_dict(),
-                "subjects": subjects}
+    manifest = {"format": 1, "day_origin": dataset.day_origin,
+                "scenario": dataset.scenario, "subjects": subjects}
     write_text(out / MANIFEST, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return out
 

@@ -17,18 +17,20 @@ implemented by `oracle_label`:
   from which cross-stream pairs overlap.
 * combined: all three signals agree; the node statistic suffices.
 
-Everything is a pure function of the scenario seed, so rerunning the
-generator reproduces byte-identical logs. Scenario spec files are read
-through `lgbg.schema`: `format` must be 1, `mechanism` is required, and every
-other key must name a `ScenarioSpec` field and have its type.
+`generate` returns a `lgbg.dataset.Dataset`. Everything is a pure function
+of the scenario seed, so rerunning the generator reproduces byte-identical
+logs. Scenario spec files are read through `lgbg.schema`: `format` must be
+1, `mechanism` is required, and every other key must name a `ScenarioSpec`
+field and have its type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import Dataset, SubjectRecord
 from .errors import ValidationError
 from .graphs import heterogeneous_edges, homogeneous_edges
 from .schema import build, read_json
@@ -37,6 +39,9 @@ from .streams import (ACTIVITY, AUDIO, LOCATION, MAX_DAYS, ConceptEvent,
 
 MECHANISMS = ("node", "transition", "cooccurrence", "combined")
 MAX_SUBJECTS = 1000   # subject ids s000..s999
+# Subject-days in one spec: 80x the acceptance workload's 40 x 30; at up to
+# 3.3 kB of log per day, `lgbg synth` writes at most about 330 MB.
+MAX_SUBJECT_DAYS = 100_000
 
 SIGNATURES = ("dorm", "library", "gym", "cafe")   # class 0..3 signature locations
 CYCLES = (
@@ -75,6 +80,8 @@ class ScenarioSpec:
         if self.days > MAX_DAYS:
             raise ValidationError(f"days must be at most {MAX_DAYS}, the longest "
                                   f"dataset lgbg reads")
+        if self.subjects * self.days > MAX_SUBJECT_DAYS:
+            raise ValidationError(f"subjects x days must be at most {MAX_SUBJECT_DAYS}")
         if self.seed < 0 or self.gpa_noise < 0:
             raise ValidationError("seed and gpa_noise must be >= 0")
 
@@ -89,26 +96,6 @@ class ScenarioSpec:
         doc = read_json(path, "scenario spec", 1)
         del doc["format"]
         return build(cls, doc, "scenario spec")
-
-
-@dataclass
-class SubjectData:
-    subject: str
-    streams: dict[str, list[ConceptEvent]]
-    labels: dict[int, int]
-    day_classes: dict[int, int]
-    gpa: float | None = None
-
-
-@dataclass
-class SynthDataset:
-    spec: ScenarioSpec
-    vocab: Vocabulary
-    subjects: list[SubjectData] = field(default_factory=list)
-
-
-def scenario_vocabulary() -> Vocabulary:
-    return Vocabulary(locations=SCENARIO_LOCATIONS)
 
 
 def _jit(rng) -> int:
@@ -187,11 +174,11 @@ _DAY_BUILDERS = {"node": _node_day, "transition": _transition_day,
                  "cooccurrence": _cooccurrence_slots, "combined": _combined_day}
 
 
-def generate(spec: ScenarioSpec) -> SynthDataset:
+def generate(spec: ScenarioSpec) -> Dataset:
     """Build every subject's streams, day labels and (optionally) a grade."""
-    vocab = scenario_vocabulary()
     build = _DAY_BUILDERS[spec.mechanism]
-    dataset = SynthDataset(spec=spec, vocab=vocab)
+    dataset = Dataset(vocab=Vocabulary(locations=SCENARIO_LOCATIONS), subjects=[],
+                      scenario=spec.to_dict())
     for idx in range(spec.subjects):
         rng = np.random.default_rng([spec.seed, idx])
         trait = float(rng.uniform(0.05, 0.95))
@@ -216,9 +203,9 @@ def generate(spec: ScenarioSpec) -> SynthDataset:
             mean_cls = float(np.mean(list(day_classes.values())))
             gpa = float(np.clip(0.4 + 3.4 * mean_cls / 3.0
                                 + rng.normal(0.0, spec.gpa_noise), 0.0, 4.0))
-        dataset.subjects.append(SubjectData(subject=f"s{idx:03d}", streams=streams,
-                                            labels=labels, day_classes=day_classes,
-                                            gpa=gpa))
+        dataset.subjects.append(SubjectRecord(subject=f"s{idx:03d}", streams=streams,
+                                              labels=labels, gpa=gpa,
+                                              day_classes=day_classes))
     return dataset
 
 

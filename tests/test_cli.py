@@ -220,7 +220,8 @@ def test_synth_rejects_bad_mechanism(tmp_path, capsys):
 
 @pytest.mark.parametrize("size", [{"subjects": 10**9, "days": 10**9},
                                   {"days": MAX_DAYS + 75},
-                                  {"subjects": MAX_SUBJECTS + 1}])
+                                  {"subjects": MAX_SUBJECTS + 1},
+                                  {"subjects": 1000, "days": 36525}])
 def test_synth_rejects_oversized_spec_before_generating(tmp_path, capsys, monkeypatch,
                                                         size):
     monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generation started"))
@@ -366,6 +367,21 @@ def test_eval_with_checkpoint_warns_once_per_overridden_field(synth_dir, tmp_pat
     assert main(["eval", "--data", str(synth_dir), "--out", str(tmp_path / "eval2"),
                  "--checkpoint", str(run / "checkpoint.json"), "--splits", "3"]) == 0
     assert "warning:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["train"] + FAST, ["eval", "--splits", "2"] + FAST])
+@pytest.mark.parametrize("origin, warned", [("86400", True), ("0", False), (None, False)])
+def test_train_and_eval_warn_when_they_ignore_day_origin(synth_dir, tmp_path, capsys,
+                                                         command, origin, warned):
+    flag = [] if origin is None else ["--day-origin", origin]
+    capsys.readouterr()
+    assert main(command + ["--data", str(synth_dir), "--out", str(tmp_path / "o")]
+                + flag) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("warning:")]
+    assert lines == (["warning: day_origin 86400 is ignored; the dataset's 0 is used"]
+                     if warned else [])
+    assert json.loads((tmp_path / "o" / "config.json").read_text())["day_origin"] == 0
 
 
 def test_env_seed_default(tmp_path, synth_dir, monkeypatch):
@@ -680,9 +696,12 @@ def test_manifest_day_origin_must_be_an_integer(tmp_path, capsys, origin, code):
 
 # Which command reads each fuzzed file kind.
 READER = {"spec": "synth", "manifest": "eval", "vocab": "eval", "config": "eval",
-          "checkpoint": "eval", "log": "build-graph"}
+          "checkpoint": "eval", "log": "build-graph", "embeddings": "build-graph"}
 # Replacement values of each JSON type but bool (which has its own mutation).
 OTHER_TYPES = [None, "x", [0], {"k": 0}, 0.5]
+# The embeddings file is text, decoded to a token list per line: a token is
+# dropped or replaced by one of these.
+TEXT_VALUES = ["nan", "1e999", "x"]
 
 
 @pytest.fixture(scope="module")
@@ -693,12 +712,16 @@ def valid_inputs(tmp_path_factory):
 def _decode(target: str, raw: bytes):
     if target == "log":
         return [json.loads(line) for line in raw.decode().splitlines()]
+    if target == "embeddings":
+        return [line.split() for line in raw.decode().splitlines()]
     return json.loads(raw)
 
 
 def _encode(target: str, doc) -> bytes:
     if target == "log":
         return "".join(json.dumps(rec) + "\n" for rec in doc).encode()
+    if target == "embeddings":
+        return "".join(" ".join(tokens) + "\n" for tokens in doc).encode()
     return json.dumps(doc).encode()
 
 
@@ -719,7 +742,9 @@ def _paths(doc, prefix=()):
 @given(data=st.data())
 def test_mutated_input_exits_0_or_2(valid_inputs, data):
     target = data.draw(st.sampled_from(sorted(READER)), label="file")
-    how = data.draw(st.sampled_from(["drop", "swap", "bool", "nan", "truncate"]),
+    text = target == "embeddings"
+    how = data.draw(st.sampled_from(["drop", "swap", "truncate"] if text else
+                                    ["drop", "swap", "bool", "nan", "truncate"]),
                     label="mutation")
     path = valid_inputs.files[target]
     original = path.read_bytes()
@@ -727,12 +752,15 @@ def test_mutated_input_exits_0_or_2(valid_inputs, data):
         mutated = original[:data.draw(st.integers(0, len(original) - 1), label="cut")]
     else:
         doc = _decode(target, original)
-        *parents, key = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+        paths = [p for p in _paths(doc) if not text or len(p) == 2]  # a text token
+        *parents, key = data.draw(st.sampled_from(paths), label="path")
         holder = doc
         for k in parents:
             holder = holder[k]
         if how == "drop":
             del holder[key]
+        elif text:
+            holder[key] = data.draw(st.sampled_from(TEXT_VALUES), label="value")
         elif how == "swap":
             holder[key] = data.draw(st.sampled_from(
                 [v for v in OTHER_TYPES if type(v) is not type(holder[key])]), label="value")

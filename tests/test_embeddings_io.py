@@ -3,7 +3,6 @@ import pytest
 
 from lgbg.embeddings import EmbeddingTable
 from lgbg.errors import EmbeddingError, ParseError, ValidationError
-from lgbg.graphs import build_samples
 from lgbg.model import Model
 from lgbg.synth import ScenarioSpec, generate
 
@@ -61,10 +60,7 @@ def test_from_file_dimension_mismatch(tmp_path, vocab):
 def trained_tiny(tmp_path, small_config):
     dataset = generate(ScenarioSpec(mechanism="node", subjects=2, days=5, seed=5))
     table = EmbeddingTable.fallback(dataset.vocab, small_config.d, small_config.seed)
-    samples = []
-    for rec in dataset.subjects:
-        samples += build_samples(rec.streams, rec.labels, small_config.span,
-                                 dataset.vocab, table, subject=rec.subject)
+    samples = dataset.samples(small_config.span, table)
     model = Model(small_config, table, dataset.vocab.digest())
     return dataset, model, samples
 

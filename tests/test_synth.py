@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from lgbg.dataset import load_dataset, write_dataset
 from lgbg.embeddings import EmbeddingTable
 from lgbg.config import TrainConfig
 from lgbg.errors import ValidationError
-from lgbg.graphs import build_samples
 from lgbg.streams import behavior_feature, parse_event_log, write_event_log
 from lgbg.synth import MECHANISMS, ScenarioSpec, generate, oracle_label
 from lgbg.training import run_protocol
@@ -52,10 +53,13 @@ def test_generated_logs_pass_parse_validation(tmp_path):
 
 
 def test_dataset_roundtrip(tmp_path):
-    dataset = generate(ScenarioSpec(mechanism="cooccurrence", subjects=2, days=4,
-                                    seed=5, gpa=True))
+    spec = ScenarioSpec(mechanism="cooccurrence", subjects=2, days=4, seed=5, gpa=True)
+    dataset = generate(spec)
+    dataset.day_origin = 86400
     write_dataset(dataset, tmp_path)
+    assert json.loads((tmp_path / "dataset.json").read_text())["scenario"] == spec.to_dict()
     loaded = load_dataset(tmp_path)
+    assert loaded.day_origin == 86400
     assert len(loaded.subjects) == 2
     for orig, back in zip(dataset.subjects, loaded.subjects):
         assert back.subject == orig.subject
@@ -112,9 +116,5 @@ def test_full_label_noise_gives_chance_accuracy():
     dataset = generate(ScenarioSpec(mechanism="node", subjects=12, days=12,
                                     seed=19, noise=1.0))
     table = EmbeddingTable.fallback(dataset.vocab, config.d, config.seed)
-    samples = []
-    for rec in dataset.subjects:
-        samples += build_samples(rec.streams, rec.labels, config.span,
-                                 dataset.vocab, table, subject=rec.subject)
-    result = run_protocol(samples, config, table)
+    result = run_protocol(dataset.samples(config.span, table), config, table)
     assert abs(result.average.accuracy - 0.25) <= 0.08

@@ -7,7 +7,6 @@ from lgbg.autograd import Tape, Tensor
 from lgbg.config import TrainConfig
 from lgbg.embeddings import EmbeddingTable
 from lgbg.errors import NumericError, ValidationError
-from lgbg.graphs import build_samples
 from lgbg.metrics import (average_reports, classification_report, grade_report,
                           knn_regress_loo)
 from lgbg.model import Model
@@ -23,11 +22,7 @@ def tiny_dataset(mechanism="combined", subjects=3, days=6, seed=5,
     dataset = generate(ScenarioSpec(mechanism=mechanism, subjects=subjects,
                                     days=days, seed=seed, **spec_kw))
     table = EmbeddingTable.fallback(dataset.vocab, config.d, config.seed)
-    samples = []
-    for rec in dataset.subjects:
-        samples += build_samples(rec.streams, rec.labels, config.span,
-                                 dataset.vocab, table, subject=rec.subject)
-    return dataset, config, table, samples
+    return dataset, config, table, dataset.samples(config.span, table)
 
 
 # ---------------------------------------------------------------------------
