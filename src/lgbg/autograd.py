@@ -86,6 +86,23 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    scale = np.sqrt(2.0 / (rows + cols))
+    return rng.standard_normal((rows, cols)) * scale
+
+
+class Parameters:
+    """A set of trainable tensors, each named where it is made: `by_name`
+    maps each one's checkpoint name to it, in the order they were made."""
+
+    def __init__(self):
+        self.by_name: dict[str, Tensor] = {}
+
+    def make(self, name: str, data) -> Tensor:
+        self.by_name[name] = t = parameter(data)
+        return t
+
+
 def custom(data, inputs: Sequence[Tensor],
            backward: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap the value of an op; every op in lgbg is made here.

@@ -23,12 +23,11 @@ from .dataset import load_dataset, write_dataset
 from .embeddings import EmbeddingTable
 from .errors import DimensionError, LgbgError, NumericError, ValidationError
 from .graphs import build_local_graph, dump_graph
-from .metrics import average_reports
 from .model import Model
 from .schema import write_text
 from .streams import Vocabulary, before_origin, day_span, day_windows, parse_event_log
 from .synth import ScenarioSpec, generate
-from .training import ProtocolResult, evaluate, run_protocol, split_protocol, train
+from .training import evaluate, run_protocol, total_loss, train
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -171,21 +170,16 @@ def cmd_eval(args) -> int:
     config = _fixed(config, given, {"day_origin": data.day_origin}, "dataset")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    model = None
     if args.checkpoint:
         model = Model.load(args.checkpoint, vocab=data.vocab)
         # The echoed config is the one the checkpoint's model runs with.
         config = _fixed(config, given,
                         {k: getattr(model.config, k) for k in _CHECKPOINT_FIELDS},
                         "checkpoint").replace(batch_size=model.config.batch_size)
-        samples = data.samples(config.span, model.table)
-        tasks = split_protocol(len(samples), config.splits, config.seed)
-        reports = [evaluate(model, [samples[j] for j in test], task=f"task-{i + 1}")
-                   for i, (_, test) in enumerate(tasks)]
-        protocol = ProtocolResult(reports, average_reports(reports))
-    else:
-        table = _table_for(args, data.vocab, config)
-        samples = data.samples(config.span, table)
-        protocol = run_protocol(samples, config, table, data.vocab.digest())
+    table = model.table if model else _table_for(args, data.vocab, config)
+    protocol = run_protocol(data.samples(config.span, table), config, table,
+                            data.vocab.digest(), model=model)
     csv = protocol.metrics_csv()
     rows = [r.row() | {"confusion": r.confusion}
             for r in protocol.reports + [protocol.average]]
@@ -230,8 +224,6 @@ def cmd_inspect(args) -> int:
 
 def _gradcheck_setup(seed: int):
     """Small but full-coverage model plus a 2-sample batch for checking."""
-    from .training import total_loss
-
     config = TrainConfig(d=8, de=6, dp=10, layers=2, span=3, seed=seed)
     dataset = generate(ScenarioSpec(mechanism="combined", subjects=2, days=4,
                                     seed=seed))
@@ -250,17 +242,7 @@ def cmd_gradcheck(args) -> int:
     seed = _env_seed(0) if args.seed is None else args.seed
     model, loss_fn = _gradcheck_setup(seed)
     named = model.named_parameters()
-    corrupt_target = next(iter(named.values())) if args.corrupt else None
-
-    def f():
-        loss = loss_fn()
-        tape = ag.active_tape()
-        if corrupt_target is not None and tape is not None:
-            tape.record(lambda: np.add(corrupt_target.grad, 0.05,
-                                       out=corrupt_target.grad))
-        return loss
-
-    errors = ag.finite_diff_errors(f, list(named.values()), eps=1e-5,
+    errors = ag.finite_diff_errors(loss_fn, list(named.values()), eps=1e-5,
                                    coords_per_param=4, seed=seed)
     worst = 0.0
     for name, err in zip(named, errors):
@@ -314,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--seed", type=int, default=None,
                    help="default: LGBG_SEED, else 0")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(run=cmd_gradcheck)
     return parser
 

@@ -18,7 +18,9 @@ as they would. Graph readout combines a node-attention pool (semantic) with
 an edge-attention pool queried by it (structural); each softmax runs within
 one graph, as GAT's runs within one neighbourhood (Veličković et al., arXiv
 1710.10903). A batch has one `GraphReadout`, its rows spanning every graph;
-`GraphReadout.export(k)` reads graph k's part in the inspection layout.
+`GraphReadout.export(k)` reads graph k's part in the inspection layout,
+taking its node and edge names from the graph itself, so the forward
+builds no names.
 
 Node order, edge indices and edge weights come from each graph's own
 `arrays` (see `graphs.GraphArrays`), which this module only reads. Each
@@ -45,44 +47,25 @@ from .streams import STREAMS
 _WEIGHT = {HOMOGENEOUS: "homo", HETEROGENEOUS: "het"}  # each kind's weight in a layer
 
 
-def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    scale = np.sqrt(2.0 / (rows + cols))
-    return rng.standard_normal((rows, cols)) * scale
-
-
-class GnnParams:
-    """Trainable tensors of the per-day graph network, shared by all graphs."""
+class GnnParams(ag.Parameters):
+    """Trainable tensors of the per-day graph network, shared by all graphs,
+    each named where it is made."""
 
     def __init__(self, config: TrainConfig, rng: np.random.Generator):
+        super().__init__()
         d, de, dp = config.d, config.de, config.dp
-        self.layers: list[dict[str, dict[str, Tensor]]] = []
-        for _ in range(config.layers):
-            layer = {}
-            for stream in STREAMS:
-                layer[stream] = {
-                    "self": ag.parameter(glorot(rng, d, d)),
-                    "homo": ag.parameter(glorot(rng, d, d)),
-                    "het": ag.parameter(glorot(rng, d, d)),
-                }
-            self.layers.append(layer)
-        self.edge_proj = ag.parameter(glorot(rng, de, 2 * d))       # W_e
-        self.node_query = ag.parameter(rng.standard_normal(d) / np.sqrt(d))  # q
-        self.edge_query_proj = ag.parameter(glorot(rng, de, d))     # W_beta
-        self.rep_proj = ag.parameter(glorot(rng, dp, d + de))
-        self.empty_day = ag.parameter(np.zeros(dp))
-
-    def named(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for stream in STREAMS:
-                for kind, t in layer[stream].items():
-                    out[f"gnn.layer{i}.{stream}.{kind}"] = t
-        out["gnn.edge_proj"] = self.edge_proj
-        out["gnn.node_query"] = self.node_query
-        out["gnn.edge_query_proj"] = self.edge_query_proj
-        out["gnn.rep_proj"] = self.rep_proj
-        out["gnn.empty_day"] = self.empty_day
-        return out
+        self.layers: list[dict[str, dict[str, Tensor]]] = [
+            {stream: {kind: self.make(f"gnn.layer{i}.{stream}.{kind}", ag.glorot(rng, d, d))
+                      for kind in ("self", "homo", "het")}
+             for stream in STREAMS}
+            for i in range(config.layers)]
+        self.edge_proj = self.make("gnn.edge_proj", ag.glorot(rng, de, 2 * d))   # W_e
+        self.node_query = self.make("gnn.node_query",                            # q
+                                    rng.standard_normal(d) / np.sqrt(d))
+        self.edge_query_proj = self.make("gnn.edge_query_proj",                  # W_beta
+                                         ag.glorot(rng, de, d))
+        self.rep_proj = self.make("gnn.rep_proj", ag.glorot(rng, dp, d + de))
+        self.empty_day = self.make("gnn.empty_day", np.zeros(dp))
 
 
 class Messages(NamedTuple):
@@ -100,7 +83,7 @@ class GraphBatch:
     Rows are grouped by stream. Within a stream they run graph by graph, each
     graph's in its canonical order, so `graph_rows[k]` lists graph k's rows
     in canonical order. Edges run graph by graph, each graph's in its own
-    order; graph k's are `edge_start[k]:edge_start[k + 1]`.
+    order.
     """
 
     n_graphs: int
@@ -112,10 +95,8 @@ class GraphBatch:
     graph_rows: list[np.ndarray]
     src_idx: np.ndarray
     dst_idx: np.ndarray
-    edge_graph: np.ndarray                      # graph of each edge
-    edge_start: np.ndarray                      # n_graphs + 1 edge offsets
+    edge_graph: np.ndarray                      # graph of each edge, ascending
     messages: dict[str, Messages]               # kinds with at least one edge
-    dropped: tuple[str, ...]                    # kinds the ablation flags removed
 
 
 def batch_graphs(parts: Sequence[GraphArrays], config: TrainConfig) -> GraphBatch:
@@ -155,9 +136,7 @@ def batch_graphs(parts: Sequence[GraphArrays], config: TrainConfig) -> GraphBatc
         blocks=blocks,
         node_graph=np.repeat(np.arange(len(parts)), sizes)[order],
         graph_rows=[row[lo:hi] for lo, hi in zip(start[:-1], start[1:])],
-        src_idx=src, dst_idx=dst, edge_graph=edge_graph,
-        edge_start=np.searchsorted(edge_graph, np.arange(len(parts) + 1)),
-        messages=messages, dropped=dropped)
+        src_idx=src, dst_idx=dst, edge_graph=edge_graph, messages=messages)
 
 
 def initial_states(arrays: GraphArrays | GraphBatch, table: EmbeddingTable) -> Tensor:
@@ -268,7 +247,7 @@ class GraphReadout:
     """What `graph_forward` computes for a batch: per-row node states and
     attention, per-edge attention, and one pooled row per graph."""
 
-    parts: Sequence[GraphArrays]
+    graphs: Sequence[LocalContextGraph]
     batch: GraphBatch
     states: Tensor                    # final-layer states, one row per batch row
     g_s: Tensor                       # n_graphs x d
@@ -278,23 +257,28 @@ class GraphReadout:
     edge_attention: np.ndarray | None
 
     def export(self, k: int) -> dict:
-        """Graph k in the inspection layout, in its own node and edge order."""
-        lo, hi = self.batch.edge_start[k:k + 2]
-        edges = [e for e in self.parts[k].edge_keys if e[4] not in self.batch.dropped]
-        return {"nodes": [{"stream": s, "concept": c} for s, c in self.parts[k].node_keys],
+        """Graph k in the inspection layout, in its own node and edge order:
+        the edges of the kinds the batch kept, named by their nodes."""
+        graph = self.graphs[k]
+        nodes = [{"stream": s, "concept": c}
+                 for s, c in sorted((nd.stream, nd.concept) for nd in graph.nodes)]
+        a = graph.arrays
+        edges = [{"src": dict(nodes[s]), "dst": dict(nodes[t]), "kind": str(kind)}
+                 for s, t, kind in zip(a.src_idx, a.dst_idx, a.edge_kind)
+                 if kind in self.batch.messages]
+        lo, hi = np.searchsorted(self.batch.edge_graph, [k, k + 1])
+        return {"nodes": nodes,
                 "node_attention": self.node_attention[self.batch.graph_rows[k]].tolist(),
-                "edges": [{"src": {"stream": e[0], "concept": e[1]},
-                           "dst": {"stream": e[2], "concept": e[3]}, "kind": e[4]}
-                          for e in edges],
+                "edges": edges,
                 "edge_attention": self.edge_attention[lo:hi].tolist() if hi > lo else None,
                 "empty": False}
 
 
-def graph_forward(parts: Sequence[GraphArrays], table: EmbeddingTable,
+def graph_forward(graphs: Sequence[LocalContextGraph], table: EmbeddingTable,
                   params: GnnParams, config: TrainConfig) -> GraphReadout:
     """Full readout of one or more non-empty day graphs, as one batch:
     attributes -> m message passing layers -> pools -> rep."""
-    batch = batch_graphs(parts, config)
+    batch = batch_graphs([g.arrays for g in graphs], config)
     states = initial_states(batch, table)
     for layer in params.layers:
         states = message_passing_layer(states, batch, layer,
@@ -310,7 +294,7 @@ def graph_forward(parts: Sequence[GraphArrays], table: EmbeddingTable,
         g_e, edge_att = structural_pool(edge_vecs, g_s, params.edge_query_proj,
                                         batch.edge_graph)
     rep = ag.matmul_t(ag.concat([g_e, g_s], axis=1), params.rep_proj)
-    return GraphReadout(parts=parts, batch=batch, states=states, g_s=g_s, g_e=g_e,
+    return GraphReadout(graphs=graphs, batch=batch, states=states, g_s=g_s, g_e=g_e,
                         rep=rep, node_attention=node_att, edge_attention=edge_att)
 
 
@@ -319,4 +303,4 @@ def local_graph_forward(graph: LocalContextGraph, table: EmbeddingTable,
     """Readout of one non-empty day graph, as a batch of one."""
     if graph.is_empty():
         raise ValidationError("an empty day has no graph readout")
-    return graph_forward([graph.arrays], table, params, config)
+    return graph_forward([graph], table, params, config)

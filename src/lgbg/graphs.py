@@ -45,7 +45,8 @@ class GraphEdge:
 
 @dataclass(frozen=True)
 class GraphArrays:
-    """Index form of one day graph, rows in canonical (stream, concept) order.
+    """Index form of one day graph, rows in canonical (stream, concept) order:
+    the fields the forward reads, and no names.
 
     Edges are ordered by (src, dst) row. An edge's `edge_weight` is its count
     over the summed counts of its destination's incoming edges of the same
@@ -53,7 +54,6 @@ class GraphArrays:
     """
 
     n: int
-    node_keys: list[tuple[str, str]]
     embedding_index: np.ndarray                 # table row per node
     day_fraction: np.ndarray                    # n x 1: attribute / 24
     stream_index: np.ndarray                    # position of each node's stream in STREAMS
@@ -61,7 +61,6 @@ class GraphArrays:
     dst_idx: np.ndarray
     edge_kind: np.ndarray
     edge_weight: np.ndarray
-    edge_keys: list[tuple[str, str, str, str, str]]  # (s_src, c_src, s_dst, c_dst, kind)
 
 
 @dataclass
@@ -83,7 +82,6 @@ class LocalContextGraph:
                        key=lambda i: (self.nodes[i].stream, self.nodes[i].concept))
         remap = {old: new for new, old in enumerate(order)}
         nodes = [self.nodes[i] for i in order]
-        node_keys = [(nd.stream, nd.concept) for nd in nodes]
 
         edges = sorted(self.edges, key=lambda e: (remap[e.src], remap[e.dst]))
         src = np.array([remap[e.src] for e in edges], dtype=np.intp)
@@ -94,7 +92,7 @@ class LocalContextGraph:
         into = 2 * dst + heterogeneous
         totals = np.bincount(into, weights=weight, minlength=2 * len(nodes))[into]
         return GraphArrays(
-            n=len(nodes), node_keys=node_keys,
+            n=len(nodes),
             embedding_index=np.array([nd.embedding_index for nd in nodes],
                                      dtype=np.intp),
             day_fraction=np.array([nd.attribute for nd in nodes])[:, None] / 24.0,
@@ -103,9 +101,7 @@ class LocalContextGraph:
             src_idx=src, dst_idx=dst,
             edge_kind=np.array([e.kind for e in edges], dtype=str),
             edge_weight=np.divide(weight, totals, out=np.zeros_like(weight),
-                                  where=totals > 0),
-            edge_keys=[node_keys[s] + node_keys[t] + (e.kind,)
-                       for s, t, e in zip(src, dst, edges)])
+                                  where=totals > 0))
 
     def to_dict(self) -> dict:
         return {

@@ -100,9 +100,7 @@ class Model:
         self.temporal = TemporalParams(config, rng)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = dict(self.gnn.named())
-        out.update(self.temporal.named())
-        return out
+        return self.gnn.by_name | self.temporal.by_name
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
@@ -118,8 +116,7 @@ class Model:
         readout = None
         day_table = ag.stack_rows([self.gnn.empty_day])
         if graphs:
-            readout = graph_forward([g.arrays for g in graphs], self.table,
-                                    self.gnn, self.config)
+            readout = graph_forward(graphs, self.table, self.gnn, self.config)
             day_table = ag.concat([readout.rep, day_table], axis=0)
         # Row k of day_table is graph k's; the last row, for -1, is the empty day.
         rows = np.concatenate(days) % (len(graphs) + 1)

@@ -223,8 +223,6 @@ class DayWindow:
     """One day's [start, end) slice of every stream, with straddlers clipped."""
 
     day_index: int
-    day_start: int
-    day_end: int
     streams: dict[str, list[ConceptEvent]] = field(default_factory=dict)
 
     def events(self, stream: str) -> list[ConceptEvent]:
@@ -254,9 +252,7 @@ def day_windows(streams: dict[str, list[ConceptEvent]], day_origin: int,
                                  else replace(e, start=start, end=end))
     # Sorted per day: streams may come in any order, and clipping moves a straddler's
     # start to midnight, where it can tie with or follow an event that starts there.
-    return [DayWindow(d, day_origin + SECONDS_PER_DAY * d,
-                      day_origin + SECONDS_PER_DAY * (d + 1),
-                      {s: sort_events(v) for s, v in window.items()})
+    return [DayWindow(d, {s: sort_events(v) for s, v in window.items()})
             for d, window in enumerate(cut)]
 
 

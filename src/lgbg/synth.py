@@ -26,7 +26,7 @@ field and have its type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,10 +86,7 @@ class ScenarioSpec:
             raise ValidationError("seed and gpa_noise must be >= 0")
 
     def to_dict(self) -> dict:
-        return {"format": 1, "mechanism": self.mechanism, "subjects": self.subjects,
-                "days": self.days, "seed": self.seed, "noise": self.noise,
-                "label_density": self.label_density, "gpa": self.gpa,
-                "gpa_noise": self.gpa_noise}
+        return {"format": 1} | asdict(self)
 
     @classmethod
     def load(cls, path) -> "ScenarioSpec":

@@ -40,28 +40,19 @@ def position_table(t_max: int, dim: int) -> np.ndarray:
     return np.stack([position_embedding(i, dim, t_max) for i in range(t_max)])
 
 
-class TemporalParams:
-    """Trainable tensors of the cross-day attention and the classifier head."""
+class TemporalParams(ag.Parameters):
+    """Trainable tensors of the cross-day attention and the classifier head,
+    each named where it is made."""
 
     def __init__(self, config: TrainConfig, rng: np.random.Generator):
+        super().__init__()
         dp = config.dp
-        scale = np.sqrt(2.0 / (dp + dp))
-        self.query_proj = ag.parameter(rng.standard_normal((dp, dp)) * scale)   # W_q
-        self.key_proj = ag.parameter(rng.standard_normal((dp, dp)) * scale)     # W_p
-        self.value_proj = ag.parameter(rng.standard_normal((dp, dp)) * scale)   # W_g
-        self.class_weights = ag.parameter(
-            rng.standard_normal((N_CLASSES, dp)) * np.sqrt(2.0 / (N_CLASSES + dp)))
-        self.class_bias = ag.parameter(np.zeros(N_CLASSES))
+        self.query_proj = self.make("temporal.query_proj", ag.glorot(rng, dp, dp))  # W_q
+        self.key_proj = self.make("temporal.key_proj", ag.glorot(rng, dp, dp))      # W_p
+        self.value_proj = self.make("temporal.value_proj", ag.glorot(rng, dp, dp))  # W_g
+        self.class_weights = self.make("classifier.weights", ag.glorot(rng, N_CLASSES, dp))
+        self.class_bias = self.make("classifier.bias", np.zeros(N_CLASSES))
         self.positions = position_table(max(config.span, 8), dp)
-
-    def named(self) -> dict[str, Tensor]:
-        return {
-            "temporal.query_proj": self.query_proj,
-            "temporal.key_proj": self.key_proj,
-            "temporal.value_proj": self.value_proj,
-            "classifier.weights": self.class_weights,
-            "classifier.bias": self.class_bias,
-        }
 
 
 def span_attention(days: Tensor, spans: Sequence[int], params: TemporalParams,

@@ -216,13 +216,19 @@ class ProtocolResult:
 
 
 def run_protocol(samples: list[GlobalSample], config: TrainConfig,
-                 table: EmbeddingTable, vocab_digest: str = "") -> ProtocolResult:
-    """Train on k-1 splits and test on the held-out one, for every split."""
+                 table: EmbeddingTable, vocab_digest: str = "",
+                 model: Model | None = None) -> ProtocolResult:
+    """Train on k-1 splits and test on the held-out one, for every split.
+
+    Given a frozen `model`, test it on every split and train nothing; the
+    splits are the same, drawn from `config.splits` and `config.seed`.
+    """
     tasks = split_protocol(len(samples), config.splits, config.seed)
     reports = []
     for i, (train_ids, test_ids) in enumerate(tasks):
-        fit = train([samples[j] for j in train_ids], config, table, vocab_digest)
-        reports.append(evaluate(fit.model, [samples[j] for j in test_ids],
+        fitted = model or train([samples[j] for j in train_ids], config, table,
+                                vocab_digest).model
+        reports.append(evaluate(fitted, [samples[j] for j in test_ids],
                                 task=f"task-{i + 1}"))
     return ProtocolResult(reports=reports, average=average_reports(reports))
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgbg import autograd as ag
 from lgbg import cli, schema
 from lgbg.cli import main
 from lgbg.config import TrainConfig
@@ -562,9 +563,28 @@ def test_gradcheck_forwards_its_batch_as_one_union(monkeypatch):
     assert calls == [4]
 
 
-def test_gradcheck_corrupted_gradient_fails(capsys):
-    assert main(["gradcheck", "--seed", "0", "--corrupt"]) == 1
+def test_gradcheck_corrupted_gradient_fails(monkeypatch, capsys):
+    setup = cli._gradcheck_setup
+
+    def corrupted(seed):
+        model, loss_fn = setup(seed)
+        target = next(iter(model.named_parameters().values()))
+
+        def f():   # the taped gradient of the first parameter is off by 0.05
+            loss = loss_fn()
+            tape = ag.active_tape()
+            if tape is not None:
+                tape.record(lambda: np.add(target.grad, 0.05, out=target.grad))
+            return loss
+
+        return model, f
+
+    monkeypatch.setattr(cli, "_gradcheck_setup", corrupted)
+    assert main(["gradcheck", "--seed", "0"]) == 1
     assert "FAIL" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exited:     # no hidden switch plants it
+        main(["gradcheck", "--seed", "0", "--corrupt"])
+    assert exited.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,34 @@ def test_attribute_scaling_ratio(vocab, small_table):
 
 
 # ---------------------------------------------------------------------------
+# parameters
+
+
+def test_named_parameters_names_and_order(small_table, small_config):
+    model = Model(small_config.replace(layers=1), small_table, "")
+    assert list(model.named_parameters()) == [
+        f"gnn.layer0.{stream}.{kind}" for stream in ("activity", "audio", "location")
+        for kind in ("self", "homo", "het")] + [
+        "gnn.edge_proj", "gnn.node_query", "gnn.edge_query_proj", "gnn.rep_proj",
+        "gnn.empty_day", "temporal.query_proj", "temporal.key_proj",
+        "temporal.value_proj", "classifier.weights", "classifier.bias"]
+
+
+@pytest.mark.parametrize("layers", [0, 1, 3])
+def test_every_parameter_is_its_named_entry(small_table, small_config, layers):
+    model = Model(small_config.replace(layers=layers), small_table, "")
+    named = model.named_parameters()
+    assert len(named) == 9 * layers + 10
+    ids = {id(t) for t in named.values()}
+    held = [t for layer in model.gnn.layers for kinds in layer.values()
+            for t in kinds.values()]
+    held += [v for part in (model.gnn, model.temporal) for v in vars(part).values()
+             if isinstance(v, ag.Tensor)]
+    assert len(held) == len(named) and {id(t) for t in held} == ids
+    assert named is not model.named_parameters()       # a new dict each call
+
+
+# ---------------------------------------------------------------------------
 # message passing
 
 

@@ -205,7 +205,7 @@ def reference_window(streams, day_index: int, day_origin: int) -> DayWindow:
                 clipped.append(ConceptEvent(start=start, end=end,
                                             stream=e.stream, concept=e.concept))
         window[s] = sort_events(clipped)
-    return DayWindow(day_index=day_index, day_start=lo, day_end=hi, streams=window)
+    return DayWindow(day_index=day_index, streams=window)
 
 
 HOUR = 3600

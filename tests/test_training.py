@@ -287,6 +287,24 @@ def test_split_protocol_rejects_too_many_splits():
         split_protocol(5, 10, seed=0)
 
 
+def test_run_protocol_tests_a_frozen_model_on_every_split_and_trains_nothing(
+        monkeypatch):
+    _, config, table, samples = tiny_dataset(subjects=2, days=6, seed=8)
+    config = config.replace(splits=3)
+    model = Model(config, table, "")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a frozen model is not trained")
+
+    monkeypatch.setattr(training, "train", no_training)
+    result = training.run_protocol(samples, config, table, model=model)
+    tasks = split_protocol(len(samples), config.splits, config.seed)
+    assert len(result.reports) == 3
+    for i, (report, (_, test)) in enumerate(zip(result.reports, tasks)):
+        assert report == evaluate(model, [samples[j] for j in test], task=f"task-{i + 1}")
+    assert result.average == average_reports(result.reports)
+
+
 # ---------------------------------------------------------------------------
 # grades
 
