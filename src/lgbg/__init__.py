@@ -8,7 +8,7 @@ status; trained representations can be reused for grade regression.
 
 __version__ = "0.1.0"
 
-from .config import TrainConfig, load_config
+from .config import TrainConfig
 from .embeddings import EmbeddingTable
 from .graphs import GlobalSample, LocalContextGraph, build_local_graph, quantize_pam
 from .model import Model
@@ -19,6 +19,6 @@ from .training import evaluate, grade_regression, run_protocol, train
 __all__ = [
     "ConceptEvent", "EmbeddingTable", "GlobalSample", "LocalContextGraph",
     "Model", "ScenarioSpec", "TrainConfig", "Vocabulary", "build_local_graph",
-    "day_windows", "evaluate", "generate", "grade_regression", "load_config",
-    "parse_event_log", "quantize_pam", "run_protocol", "train",
+    "day_windows", "evaluate", "generate", "grade_regression", "parse_event_log",
+    "quantize_pam", "run_protocol", "train",
 ]

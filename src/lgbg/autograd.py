@@ -242,10 +242,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
 
     def bwd(g):
-        if idx.ndim == 0:
-            x.grad[idx] += g
-        else:
-            x.grad += scatter_rows(g, idx, x.data.shape[0])
+        x.grad += scatter_rows(g, idx, x.data.shape[0])
     return custom(x.data[idx], (x,), bwd)
 
 
@@ -509,24 +506,11 @@ class Adam:
 # gradient checking
 
 
-def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor],
-                      eps: float = 1e-5, coords_per_param: int | None = None,
-                      seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `f` evaluates the scalar loss from the current contents of `params`;
-    it is re-invoked under perturbed parameter values. Relative error for a
-    coordinate is |analytic - central| / max(1, |central|).
-    """
-    errs = finite_diff_errors(f, params, eps=eps,
-                              coords_per_param=coords_per_param, seed=seed)
-    return max(errs) if errs else 0.0
-
-
 def finite_diff_errors(f: Callable[[], Tensor], params: Sequence[Tensor],
                        eps: float = 1e-5, coords_per_param: int | None = None,
                        seed: int = 0) -> list[float]:
-    """Per-parameter max relative gradient error, in `params` order."""
+    """Per-parameter max relative error |analytic - central| / max(1, |central|)
+    of the gradient of the scalar loss `f()`, in `params` order."""
     if not (1e-7 <= eps <= 1e-3):
         raise ValidationError(f"eps {eps} outside [1e-7, 1e-3]")
     for p in params:

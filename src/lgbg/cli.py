@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,10 @@ _CONFIG_FLAGS = [
     ("--knn-k", int, "knn_k"),
     ("--day-origin", int, "day_origin"),
 ]
+# Switches without a value: (flag, field, the value the flag sets).
+_CONFIG_SWITCHES = [("--linear-layers", "linear_layers", True),
+                    ("--no-homo", "use_homogeneous", False),
+                    ("--no-hetero", "use_heterogeneous", False)]
 
 
 # Fields that `eval --checkpoint` takes from the checkpoint; a flag or a
@@ -58,12 +63,9 @@ _CHECKPOINT_FIELDS = ("d", "de", "dp", "layers", "span", "use_homogeneous",
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for flag, typ, dest in _CONFIG_FLAGS:
         parser.add_argument(flag, type=typ, dest=dest, default=None)
-    parser.add_argument("--linear-layers", action="store_true", default=None,
-                        dest="linear_layers")
-    parser.add_argument("--no-homo", action="store_false", default=None,
-                        dest="use_homogeneous")
-    parser.add_argument("--no-hetero", action="store_false", default=None,
-                        dest="use_heterogeneous")
+    for flag, dest, value in _CONFIG_SWITCHES:
+        parser.add_argument(flag, action="store_const", const=value, default=None,
+                            dest=dest)
     parser.add_argument("--config", default=None, help="JSON config file")
 
 
@@ -87,8 +89,7 @@ def _config_and_given(args) -> tuple[TrainConfig, set[str]]:
         values = read_config(args.config)
         config = config_from_dict(values, config)
         given |= set(values)
-    names = [dest for _, _, dest in _CONFIG_FLAGS]
-    names += ["linear_layers", "use_homogeneous", "use_heterogeneous"]
+    names = [dest for _, _, dest in _CONFIG_FLAGS] + [dest for _, dest, _ in _CONFIG_SWITCHES]
     overrides = {name: getattr(args, name) for name in names
                  if getattr(args, name, None) is not None}
     return config_from_dict(overrides, config), given | set(overrides)
@@ -154,8 +155,7 @@ def cmd_train(args) -> int:
     save_config(config, out / "config.json")
     report = evaluate(result.model, samples, task="train-set")
     write_text(out / "train_report.json",
-               json.dumps(report.row() | {"confusion": report.confusion}, indent=2,
-                          sort_keys=True) + "\n")
+               json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
     print(f"trained on {len(samples)} samples; train-set accuracy "
           f"{report.accuracy:.4f}; checkpoint at {out / 'checkpoint.json'}")
     return 0
@@ -181,8 +181,7 @@ def cmd_eval(args) -> int:
     protocol = run_protocol(data.samples(config.span, table), config, table,
                             data.vocab.digest(), model=model)
     csv = protocol.metrics_csv()
-    rows = [r.row() | {"confusion": r.confusion}
-            for r in protocol.reports + [protocol.average]]
+    rows = [asdict(r) for r in protocol.reports + [protocol.average]]
     write_text(out / "metrics.csv", csv)
     write_text(out / "metrics.json", json.dumps(rows, indent=2, sort_keys=True) + "\n")
     save_config(config, out / "config.json")

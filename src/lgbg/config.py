@@ -11,6 +11,7 @@ type (a bool for a number, `NaN`, a string) a `ParseError`.
 from __future__ import annotations
 
 import json
+import dataclasses
 from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
@@ -69,9 +70,7 @@ class TrainConfig:
         return asdict(self)
 
     def replace(self, **kw) -> "TrainConfig":
-        merged = self.to_dict()
-        merged.update(kw)
-        return TrainConfig(**merged)
+        return dataclasses.replace(self, **kw)
 
 
 _ALIASES = {"lambda": "lam", "m": "layers", "d_e": "de", "d_p": "dp"}
@@ -97,10 +96,6 @@ def read_config(path) -> dict:
               for key, value in read_json(path, "config file").items()}
     values.pop("format", None)
     return values
-
-
-def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    return config_from_dict(read_config(path), base)
 
 
 def save_config(config: TrainConfig, path) -> None:

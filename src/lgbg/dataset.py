@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .graphs import GlobalSample, build_samples
 from .schema import read_json, require, write_text
 from .streams import (ConceptEvent, Vocabulary, parse_event_log, write_event_log)
@@ -80,8 +80,11 @@ def load_dataset(path) -> Dataset:
         for day in labels:
             if not (day.isascii() and day.isdigit()):
                 raise ParseError(f"label day {day!r} is not a day index")
+        subject = require(entry, "id", str)
+        if any(rec.subject == subject for rec in subjects):
+            raise ValidationError(f"subject id {subject!r} is listed twice")
         parsed = parse_event_log(root / require(entry, "log", str), vocab)
-        subjects.append(SubjectRecord(subject=require(entry, "id", str),
+        subjects.append(SubjectRecord(subject=subject,
                                       streams=parsed.streams,
                                       labels={int(day): cls for day, cls in labels.items()},
                                       gpa=require(entry, "gpa", float, None)))

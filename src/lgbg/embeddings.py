@@ -49,9 +49,11 @@ class EmbeddingTable:
 
     @classmethod
     def from_file(cls, path, vocab: Vocabulary, dim: int, seed: int) -> "EmbeddingTable":
-        """Read `<name> v1 .. vd` lines of finite numbers; vocabulary concepts
-        absent from the file get fallback vectors."""
-        loaded: dict[str, np.ndarray] = {}
+        """The fallback table with the vectors of `<name> v1 .. vd` lines of
+        finite numbers; a vocabulary concept listed twice is an input error,
+        and lines of other names are checked but not kept."""
+        table = cls.fallback(vocab, dim, seed)
+        loaded: set[str] = set()
         for lineno, line in enumerate(read_text(path, "embedding file").splitlines(),
                                       start=1):
             parts = line.split()
@@ -65,7 +67,9 @@ class EmbeddingTable:
                 raise ParseError(f"expected {dim} values, got {vec.size}", line=lineno)
             if not np.isfinite(vec).all():
                 raise ParseError("embedding values must be finite", line=lineno)
-            loaded[parts[0]] = vec
-        names = sorted({c for _, c in vocab.all_concepts()})
-        vectors = [loaded[n] if n in loaded else _hash_vector(n, dim, seed) for n in names]
-        return cls(names, np.stack(vectors), source="file")
+            if parts[0] in loaded:
+                raise ParseError(f"concept {parts[0]!r} is listed twice", line=lineno)
+            if parts[0] in table._index:
+                table.vectors[table._index[parts[0]]] = vec
+                loaded.add(parts[0])
+        return cls(table.names, table.vectors, source="file")

@@ -17,7 +17,9 @@ as the backward of the small ops it is made of, so it gives the same bits
 as they would. Graph readout combines a node-attention pool (semantic) with
 an edge-attention pool queried by it (structural); each softmax runs within
 one graph, as GAT's runs within one neighbourhood (Veličković et al., arXiv
-1710.10903). A batch has one `GraphReadout`, its rows spanning every graph;
+1710.10903). An edgeless graph's edge pool sums no rows, to 0, and a batch
+with no edges at all (both kinds switched off) takes the same path on
+zero-row arrays. A batch has one `GraphReadout`, its rows spanning every graph;
 `GraphReadout.export(k)` reads graph k's part in the inspection layout,
 taking its node and edge names from the graph itself, so the forward
 builds no names.
@@ -202,15 +204,12 @@ def message_passing_layer(states: Tensor, batch: GraphBatch,
     return ag.custom(y, [states, *weights], backward)
 
 
-def edge_embeddings(states: Tensor, batch: GraphBatch,
-                    edge_proj: Tensor) -> Tensor | None:
-    """e_ij = W_e [x_src ; x_dst] for every directed edge.
+def edge_embeddings(states: Tensor, batch: GraphBatch, edge_proj: Tensor) -> Tensor:
+    """e_ij = W_e [x_src ; x_dst], one row per directed edge.
 
     Each half of W_e is applied once per node and the products gathered per
     edge, so no edge-sized copy of both endpoints' states is made.
     """
-    if batch.src_idx.size == 0:
-        return None
     d = states.data.shape[1]
     from_src = ag.matmul_t(states, ag.cols(edge_proj, 0, d))
     from_dst = ag.matmul_t(states, ag.cols(edge_proj, d, 2 * d))
@@ -233,7 +232,8 @@ def structural_pool(edge_vectors: Tensor, g_s: Tensor, edge_query_proj: Tensor,
     """Attention-weighted sum of edge embeddings per graph, queried by that
     graph's semantic pool; also returns the weights.
 
-    `edge_graph` gives each edge's graph, and `g_s` has one row per graph.
+    `edge_graph` gives each edge's graph, and `g_s` has one row per graph;
+    a graph without edges pools to 0.
     """
     n_graphs = g_s.data.shape[0]
     keys = ag.matmul_t(g_s, edge_query_proj)
@@ -254,7 +254,7 @@ class GraphReadout:
     g_e: Tensor                       # n_graphs x de
     rep: Tensor                       # n_graphs x dp
     node_attention: np.ndarray
-    edge_attention: np.ndarray | None
+    edge_attention: np.ndarray        # empty when the batch has no edges
 
     def export(self, k: int) -> dict:
         """Graph k in the inspection layout, in its own node and edge order:
@@ -286,13 +286,8 @@ def graph_forward(graphs: Sequence[LocalContextGraph], table: EmbeddingTable,
 
     g_s, node_att = semantic_pool(states, params.node_query, batch.node_graph,
                                   batch.n_graphs)
-    edge_vecs = edge_embeddings(states, batch, params.edge_proj)
-    if edge_vecs is None:
-        g_e = ag.constant(np.zeros((batch.n_graphs, config.de)))
-        edge_att = None
-    else:
-        g_e, edge_att = structural_pool(edge_vecs, g_s, params.edge_query_proj,
-                                        batch.edge_graph)
+    g_e, edge_att = structural_pool(edge_embeddings(states, batch, params.edge_proj),
+                                    g_s, params.edge_query_proj, batch.edge_graph)
     rep = ag.matmul_t(ag.concat([g_e, g_s], axis=1), params.rep_proj)
     return GraphReadout(graphs=graphs, batch=batch, states=states, g_s=g_s, g_e=g_e,
                         rep=rep, node_attention=node_att, edge_attention=edge_att)

@@ -24,7 +24,7 @@ from .streams import (STREAMS, ConceptEvent, DayWindow, Vocabulary, day_windows,
 HOMOGENEOUS = "homogeneous"
 HETEROGENEOUS = "heterogeneous"
 
-PAM_CLASSES = 4
+N_CLASSES = 4  # PAM quadrants, see quantize_pam
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ class GlobalSample:
     def __post_init__(self):
         if not self.graphs:
             raise ValidationError("a sample needs at least one graph")
-        if not 0 <= self.label < PAM_CLASSES:
-            raise ValidationError(f"label {self.label} outside 0..{PAM_CLASSES - 1}")
+        if not 0 <= self.label < N_CLASSES:
+            raise ValidationError(f"label {self.label} outside 0..{N_CLASSES - 1}")
 
 
 def homogeneous_edges(events: list[ConceptEvent]) -> dict[tuple[str, str], int]:
@@ -166,31 +166,25 @@ def heterogeneous_edges(events_a: list[ConceptEvent],
     """Undirected co-occurrence counts between two different streams.
 
     A pair co-occurs when the intervals strictly overlap
-    (max(starts) < min(ends)); touching intervals do not count. Counted by a
-    boundary sweep that keeps the opposite stream's active set, so the cost is
-    near-linear in events plus overlaps.
+    (max(starts) < min(ends)); touching intervals do not count. One sweep
+    takes both sides' events in start order: each drops the other side's
+    events that ended by its start, pairs with each one left and joins its
+    own side. A pair is counted by whichever of the two comes later, and as
+    events are never empty, exactly when it overlaps; so neither the order
+    of ties nor that of the input lists changes the counts.
     """
     if events_a and events_b and events_a[0].stream == events_b[0].stream:
         raise ValidationError("heterogeneous_edges needs two different streams")
-    # (time, is_start, side, event); ends sort before starts at equal times so
-    # touching intervals never look active together.
-    boundaries = []
-    for side, events in ((0, events_a), (1, events_b)):
-        for e in sort_events(events):
-            boundaries.append((e.start, 1, side, e))
-            boundaries.append((e.end, 0, side, e))
-    boundaries.sort(key=lambda b: (b[0], b[1], b[2], b[3].concept))
-    active: tuple[list[ConceptEvent], list[ConceptEvent]] = ([], [])
+    sweep = sorted([(e, 0) for e in events_a] + [(e, 1) for e in events_b],
+                   key=lambda item: item[0].start)
+    active: list[list[ConceptEvent]] = [[], []]
     counts: dict[tuple[str, str], int] = {}
-    for _, is_start, side, event in boundaries:
-        if is_start:
-            for other in active[1 - side]:
-                key = (event.concept, other.concept) if side == 0 \
-                    else (other.concept, event.concept)
-                counts[key] = counts.get(key, 0) + 1
-            active[side].append(event)
-        else:
-            active[side].remove(event)
+    for event, side in sweep:
+        active[1 - side] = [o for o in active[1 - side] if o.end > event.start]
+        for other in active[1 - side]:
+            a, b = (event, other) if side == 0 else (other, event)
+            counts[a.concept, b.concept] = counts.get((a.concept, b.concept), 0) + 1
+        active[side].append(event)
     return counts
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-
-N_CLASSES = 4
+from .graphs import N_CLASSES
 
 
 @dataclass
@@ -40,13 +39,6 @@ class GradeReport:
     predictions: list[float] = field(default_factory=list)
 
 
-def confusion_matrix(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        cm[t, p] += 1
-    return cm
-
-
 def report_from_confusion(cm: np.ndarray, task: str = "") -> EvalReport:
     cm = np.asarray(cm, dtype=np.int64)
     n = int(cm.sum())
@@ -67,9 +59,11 @@ def report_from_confusion(cm: np.ndarray, task: str = "") -> EvalReport:
                       confusion=cm.tolist(), n=n, task=task)
 
 
-def classification_report(y_true, y_pred, n_classes: int = N_CLASSES,
-                          task: str = "") -> EvalReport:
-    return report_from_confusion(confusion_matrix(y_true, y_pred, n_classes), task)
+def classification_report(y_true, y_pred, task: str = "") -> EvalReport:
+    cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
+    for t, p in zip(y_true, y_pred):
+        cm[t, p] += 1
+    return report_from_confusion(cm, task)
 
 
 def average_reports(reports: list[EvalReport]) -> EvalReport:

@@ -143,9 +143,6 @@ class ParsedLog:
     remapped_locations: int = 0
     deduplicated: int = 0
 
-    def total_events(self) -> int:
-        return sum(len(v) for v in self.streams.values())
-
 
 def sort_events(events: list[ConceptEvent]) -> list[ConceptEvent]:
     return sorted(events, key=lambda e: (e.start, e.end, e.concept))

@@ -34,7 +34,7 @@ from .dataset import Dataset, SubjectRecord
 from .errors import ValidationError
 from .graphs import heterogeneous_edges, homogeneous_edges
 from .schema import build, read_json
-from .streams import (ACTIVITY, AUDIO, LOCATION, MAX_DAYS, ConceptEvent,
+from .streams import (ACTIVITY, AUDIO, LOCATION, MAX_DAYS, STREAMS, ConceptEvent,
                       SECONDS_PER_DAY, Vocabulary, sort_events)
 
 MECHANISMS = ("node", "transition", "cooccurrence", "combined")
@@ -193,8 +193,7 @@ def generate(spec: ScenarioSpec) -> Dataset:
             noisy = rng.random() < spec.noise
             if labeled:
                 labels[day] = int(rng.integers(4)) if noisy else cls
-        streams = {s: sort_events([e for e in events if e.stream == s])
-                   for s in (ACTIVITY, AUDIO, LOCATION)}
+        streams = {s: sort_events([e for e in events if e.stream == s]) for s in STREAMS}
         gpa = None
         if spec.gpa:
             mean_cls = float(np.mean(list(day_classes.values())))

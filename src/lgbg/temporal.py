@@ -20,8 +20,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .config import TrainConfig
 from .errors import DimensionError, ValidationError
-
-N_CLASSES = 4
+from .graphs import N_CLASSES
 
 
 def position_embedding(i: int, dim: int, t_max: int = 64) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Losses, the optimization loop, the k-split protocol and the grade task."""
+"""Losses, the optimization loop, the k-split protocol and the grade task,
+with one writer, `csv_text`, for the history and metrics tables."""
 
 from __future__ import annotations
 
@@ -71,6 +72,15 @@ def total_loss(outputs: list[SampleOutput], labels: list[int],
     return ag.add(ce, ag.mul(node_variance_loss([nodes]), lam))
 
 
+def csv_text(columns: list[str], rows: list[dict]) -> str:
+    """`columns` of `rows` as CSV lines: a float as its repr, which reads back
+    bit for bit, None as an empty cell and any other value through `str`."""
+    def cell(value) -> str:
+        return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    lines = [",".join(columns)] + [",".join(cell(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class TrainResult:
     model: Model
@@ -78,13 +88,7 @@ class TrainResult:
     best_epoch: int | None = None
 
     def history_csv(self) -> str:
-        lines = ["epoch,train_loss,val_loss,val_accuracy"]
-        for row in self.history:
-            lines.append("{epoch},{train_loss!r},{val_loss},{val_accuracy}".format(
-                epoch=row["epoch"], train_loss=row["train_loss"],
-                val_loss="" if row["val_loss"] is None else repr(row["val_loss"]),
-                val_accuracy="" if row["val_accuracy"] is None else repr(row["val_accuracy"])))
-        return "\n".join(lines) + "\n"
+        return csv_text(["epoch", "train_loss", "val_loss", "val_accuracy"], self.history)
 
 
 def _batch_eval(model: Model, samples: list[GlobalSample]) -> tuple[float, float]:
@@ -204,15 +208,9 @@ class ProtocolResult:
     reports: list[EvalReport]
     average: EvalReport
 
-    def metrics_rows(self) -> list[dict]:
-        return [r.row() for r in self.reports] + [self.average.row()]
-
     def metrics_csv(self) -> str:
-        lines = ["task,n,accuracy,precision,recall,f1"]
-        for row in self.metrics_rows():
-            lines.append("{task},{n},{accuracy!r},{precision!r},{recall!r},{f1!r}"
-                         .format(**row))
-        return "\n".join(lines) + "\n"
+        return csv_text(["task", "n", "accuracy", "precision", "recall", "f1"],
+                        [r.row() for r in self.reports + [self.average]])
 
 
 def run_protocol(samples: list[GlobalSample], config: TrainConfig,

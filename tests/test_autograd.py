@@ -30,7 +30,7 @@ def test_matmul_all_arities_grad(ashape, bshape):
     def f():
         return ag.total(ag.matmul(a, b))
 
-    assert ag.finite_diff_check(f, [a, b], eps=1e-5) < 1e-5
+    assert max(ag.finite_diff_errors(f, [a, b], eps=1e-5)) < 1e-5
 
 
 @pytest.mark.parametrize("ashape,bshape", [((4,), (4, 2)), ((4,), (4,)), ((3, 4), (4, 2)),
@@ -86,11 +86,11 @@ def test_softmax_gradient():
     def f():
         return ag.total(ag.mul(ag.softmax(z), ag.constant(target)))
 
-    assert ag.finite_diff_check(f, [z], eps=1e-5) < 1e-6
+    assert max(ag.finite_diff_errors(f, [z], eps=1e-5)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
-# finite_diff_check itself
+# finite_diff_errors itself
 
 
 def test_finite_diff_quadratic_exact():
@@ -100,7 +100,7 @@ def test_finite_diff_quadratic_exact():
         return ag.total(ag.mul(x, x))
 
     # analytic 6 vs central difference of x^2 (exact for quadratics)
-    assert ag.finite_diff_check(f, [x], eps=1e-5) < 1e-8
+    assert max(ag.finite_diff_errors(f, [x], eps=1e-5)) < 1e-8
 
 
 def test_finite_diff_constant_function():
@@ -109,13 +109,13 @@ def test_finite_diff_constant_function():
     def f():
         return ag.add(ag.mean(x), ag.neg(ag.mean(x)))
 
-    assert ag.finite_diff_check(f, [x], eps=1e-5) == 0.0
+    assert max(ag.finite_diff_errors(f, [x], eps=1e-5)) == 0.0
 
 
 def test_finite_diff_eps_bounds():
     x = ag.parameter([1.0])
     with pytest.raises(ValidationError):
-        ag.finite_diff_check(lambda: ag.total(x), [x], eps=1e-2)
+        ag.finite_diff_errors(lambda: ag.total(x), [x], eps=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,6 @@ OPS = [
     ("matmul_t", lambda a, b: ag.matmul_t(a, b), 2, (4, 3)),
     ("sub_rowvec", lambda a: ag.sub_rowvec(a, ag.constant([1.0, -2.0, 0.5])), 1, (4, 3)),
     ("gather", lambda a: ag.gather_rows(a, [0, 2, 2, 1]), 1, (4, 3)),
-    ("gather_one_row", lambda a: ag.gather_rows(a, 2), 1, (4, 3)),
     ("cols", lambda a: ag.cols(a, 1, 3), 1, (4, 3)),
     ("row_dot", ag.row_dot, 2, (4, 3)),
     ("segment_sum", lambda a: ag.segment_sum(a, [0, 2, 0, 1], 4), 1, (4, 3)),
@@ -193,7 +192,7 @@ def test_op_gradients_match_finite_differences(name, op, arity, shape):
         out = op(*params)
         return out if out.data.ndim == 0 else ag.total(ag.tanh(out))
 
-    assert ag.finite_diff_check(f, params, eps=1e-5) < 1e-5
+    assert max(ag.finite_diff_errors(f, params, eps=1e-5)) < 1e-5
 
 
 RECORDING = OPS + [
@@ -230,7 +229,7 @@ def test_log_and_clamp_gradient():
     def f():
         return ag.total(ag.log(ag.clamp_min(x, 1.0)))
 
-    assert ag.finite_diff_check(f, [x], eps=1e-6) < 1e-5
+    assert max(ag.finite_diff_errors(f, [x], eps=1e-6)) < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lgbg
 from lgbg import autograd as ag
 from lgbg import cli, schema
 from lgbg.cli import main
@@ -422,8 +423,8 @@ def test_train_with_embedding_file(tmp_path, synth_dir):
 def test_train_bad_embedding_value_exit_2_with_line(tmp_path, synth_dir, capsys,
                                                     value, line):
     emb = tmp_path / "emb.txt"
-    rows = ["walking " + " ".join(["0.5"] * 8)] * line
-    rows[line - 1] = "dorm " + " ".join(["0.5"] * 7 + [value])
+    rows = [f"{name} " + " ".join(["0.5"] * 8) for name in ("walking", "voice")[:line - 1]]
+    rows.append("dorm " + " ".join(["0.5"] * 7 + [value]))
     emb.write_text("\n".join(rows) + "\n")
     capsys.readouterr()
     assert main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
@@ -695,6 +696,25 @@ def test_malformed_input_exit_2(tmp_path, capsys, target, change, command):
     assert main(inputs.argv(command)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_duplicate_subject_id_exit_2(synth_dir, tmp_path, capsys):
+    manifest = synth_dir / "dataset.json"
+    doc = json.loads(manifest.read_text())
+    doc["subjects"].append(dict(doc["subjects"][0]))
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run")]
+                + FAST) == 2
+    assert capsys.readouterr().err == "error: subject id 's000' is listed twice\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from lgbg import *", namespace)
+    assert set(lgbg.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(lgbg, name) for name in lgbg.__all__)
 
 
 @pytest.mark.parametrize("origin, code", [(0.9, 2), ("x", 2), (3600, 0)])

@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lgbg.cli import main
 from lgbg.embeddings import EmbeddingTable
 from lgbg.errors import EmbeddingError, ParseError, ValidationError
 from lgbg.model import Model
 from lgbg.synth import ScenarioSpec, generate
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_fallback_is_pure_function_of_name_and_seed(vocab):
@@ -51,6 +56,25 @@ def test_from_file_dimension_mismatch(tmp_path, vocab):
     (tmp_path / "emb.txt").write_text("walking 1 0\n")
     with pytest.raises(ParseError, match="line 1"):
         EmbeddingTable.from_file(tmp_path / "emb.txt", vocab, dim=4, seed=0)
+
+
+def test_from_file_concept_listed_twice_names_the_second_line(tmp_path, vocab):
+    path = tmp_path / "emb.txt"
+    path.write_text("dorm 1 0 0 0\nwalking 0 1 0 0\n\ndorm 0 0 1 0\n")
+    with pytest.raises(ParseError, match=r"^line 4: concept 'dorm' is listed twice$"):
+        EmbeddingTable.from_file(path, vocab, dim=4, seed=0)
+    code = main(["build-graph", "--log", str(DATA / "toy_log.jsonl"),
+                 "--vocab", str(DATA / "toy_vocab.json"), "--embeddings", str(path),
+                 "--d", "4", "--out", str(tmp_path / "graphs")])
+    assert code == 2
+
+
+def test_from_file_ignores_names_outside_the_vocabulary(tmp_path, vocab):
+    path = tmp_path / "emb.txt"
+    path.write_text("submarine 1 1 1 1\ndorm 1 0 0 0\nsubmarine 2 2 2 2\n")
+    table = EmbeddingTable.from_file(path, vocab, dim=4, seed=0)
+    assert table.names == EmbeddingTable.fallback(vocab, 4, seed=0).names
+    assert np.array_equal(table.vector("dorm"), [1, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------

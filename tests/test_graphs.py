@@ -89,6 +89,29 @@ def test_heterogeneous_matches_all_pairs_oracle():
         assert heterogeneous_edges(a, b) == all_pairs_overlap(a, b)
 
 
+def grid_events(rng, stream, concepts, n, repeats=1):
+    """n events whose starts and ends lie on a 5-point grid, so most of them
+    tie; each drawn event is listed up to `repeats` times."""
+    events = []
+    for _ in range(n):
+        start = int(rng.integers(0, 4))
+        end = int(rng.integers(start + 1, 5))
+        e = ev(stream, str(rng.choice(concepts)), 600 * start, 600 * end)
+        events += [e] * int(rng.integers(1, repeats + 1))
+    return events
+
+
+def test_heterogeneous_matches_all_pairs_oracle_on_ties():
+    rng = np.random.default_rng(19)
+    for _ in range(5000):
+        a = grid_events(rng, AUDIO, ["voice", "silence"], int(rng.integers(0, 6)),
+                        repeats=3)
+        b = grid_events(rng, LOCATION, ["dorm", "gym"], int(rng.integers(0, 6)))
+        want = all_pairs_overlap(a, b)
+        assert heterogeneous_edges(a, b) == want
+        assert heterogeneous_edges(a[::-1], b[::-1]) == want
+
+
 # ---------------------------------------------------------------------------
 # local graph construction
 

@@ -65,7 +65,7 @@ def test_vocab_rejects_bad_activity_list(tmp_path):
 def test_parse_empty_file(tmp_path, vocab):
     (tmp_path / "log.jsonl").write_text("")
     parsed = parse_event_log(tmp_path / "log.jsonl", vocab)
-    assert parsed.total_events() == 0
+    assert not any(parsed.streams.values())
     assert set(parsed.streams) == {ACTIVITY, AUDIO, LOCATION}
 
 

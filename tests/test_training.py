@@ -113,9 +113,29 @@ def test_total_loss_gradients_match_finite_differences():
         outs = [model.forward(s) for s in samples]
         return total_loss(outs, labels, config.lam)
 
-    err = ag.finite_diff_check(f, model.parameters(), eps=1e-5,
-                               coords_per_param=3, seed=0)
-    assert err < 1e-4
+    errors = ag.finite_diff_errors(f, model.parameters(), eps=1e-5,
+                                   coords_per_param=3, seed=0)
+    assert max(errors) < 1e-4
+
+
+def test_edgeless_batch_gradients_match_finite_differences():
+    """With both edge kinds off, the edge pool runs on zero rows: its
+    backward must give the edge maps an exact zero gradient."""
+    _, config, table, samples = tiny_dataset(subjects=2, days=4, seed=3)
+    config = config.replace(use_homogeneous=False, use_heterogeneous=False)
+    model = Model(config, table, "")
+    samples = samples[:2]
+
+    def f():
+        return total_loss(model.forward_batch(samples), [s.label for s in samples],
+                          config.lam)
+
+    errors = ag.finite_diff_errors(f, model.parameters(), eps=1e-5,
+                                   coords_per_param=3, seed=0)
+    assert max(errors) < 1e-4
+    for name in ("gnn.edge_proj", "gnn.edge_query_proj"):     # analytic, kept by the check
+        assert not model.named_parameters()[name].grad.any()
+    assert model.named_parameters()["gnn.rep_proj"].grad.any()
 
 
 def test_loss_records_the_same_tape_ops_for_every_batch_size():
