@@ -256,14 +256,6 @@ def cols(x: Tensor, start: int, stop: int) -> Tensor:
     return custom(x.data[:, start:stop], (x,), bwd)
 
 
-def rows(x: Tensor, start: int, stop: int) -> Tensor:
-    # The output shares memory with x; tensors are immutable after
-    # construction, so the view is safe.
-    def bwd(g):
-        x.grad[start:stop] += g
-    return custom(x.data[start:stop], (x,), bwd)
-
-
 def pick(x: Tensor, index) -> Tensor:
     """x[index] for an integer index (one element of a vector) or a tuple of
     integer arrays (elements of a matrix, as numpy indexes them)."""
@@ -274,12 +266,6 @@ def pick(x: Tensor, index) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # reductions
-
-
-def total(x: Tensor) -> Tensor:
-    def bwd(g):
-        x.grad += g
-    return custom(x.data.sum(), (x,), bwd)
 
 
 def mean(x: Tensor) -> Tensor:
@@ -375,14 +361,6 @@ def sub_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # nonlinearities
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-
-    def bwd(g):
-        x.grad += (1.0 - y * y) * g
-    return custom(y, (x,), bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -7,8 +7,9 @@ JSON-lines event log per subject under `logs/`. The manifest lists subjects
 with their per-day labels (and grade when present) so training, evaluation
 and the grade task all read the same structure. The manifest is read
 through `lgbg.schema`: `subjects` must be a list of objects, each with an
-`id` and a `log` string, label days must be decimal day indices and label
-classes integers, `gpa` must be a number and `day_origin` an integer.
+`id` and a `log` string, label days must be decimal day indices, each day
+once per subject ("7" and "07" are the same day), and label classes
+integers, `gpa` must be a number and `day_origin` an integer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class SubjectRecord:
     streams: dict[str, list[ConceptEvent]]
     labels: dict[int, int] = field(default_factory=dict)
     gpa: float | None = None
-    day_classes: dict[int, int] = field(default_factory=dict)  # planted; empty when loaded
 
 
 @dataclass
@@ -83,10 +83,13 @@ def load_dataset(path) -> Dataset:
         subject = require(entry, "id", str)
         if any(rec.subject == subject for rec in subjects):
             raise ValidationError(f"subject id {subject!r} is listed twice")
+        days: dict[int, int] = {}
+        for day, cls in labels.items():
+            if int(day) in days:
+                raise ValidationError(f"subject {subject!r} labels day {int(day)} twice")
+            days[int(day)] = cls
         parsed = parse_event_log(root / require(entry, "log", str), vocab)
-        subjects.append(SubjectRecord(subject=subject,
-                                      streams=parsed.streams,
-                                      labels={int(day): cls for day, cls in labels.items()},
-                                      gpa=require(entry, "gpa", float, None)))
+        subjects.append(SubjectRecord(subject=subject, streams=parsed.streams,
+                                      labels=days, gpa=require(entry, "gpa", float, None)))
     return Dataset(vocab=vocab, subjects=subjects,
                    day_origin=require(manifest, "day_origin", int, 0))

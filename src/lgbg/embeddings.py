@@ -38,9 +38,6 @@ class EmbeddingTable:
             raise EmbeddingError(f"no embedding for concept {name!r}")
         return self._index[name]
 
-    def vector(self, name: str) -> np.ndarray:
-        return self.vectors[self.index(name)]
-
     @classmethod
     def fallback(cls, vocab: Vocabulary, dim: int, seed: int) -> "EmbeddingTable":
         names = sorted({c for _, c in vocab.all_concepts()})

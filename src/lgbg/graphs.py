@@ -103,20 +103,14 @@ class LocalContextGraph:
             edge_weight=np.divide(weight, totals, out=np.zeros_like(weight),
                                   where=totals > 0))
 
-    def to_dict(self) -> dict:
-        return {
-            "day_index": self.day_index,
-            "nodes": [{"stream": n.stream, "concept": n.concept,
-                       "attribute": n.attribute} for n in self.nodes],
-            "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind,
-                       "weight": e.weight} for e in self.edges],
-        }
-
     def dump_json(self) -> str:
-        """`json.dumps(self.to_dict(), sort_keys=True, separators=(",", ": "),
-        indent=1)`, formatted straight from this fixed schema: strings and
-        numbers as `json` writes them, without its pure-Python indenting
-        encoder. Attributes must be finite floats."""
+        """The text of `json.dumps(doc, sort_keys=True, separators=(",", ": "),
+        indent=1)`, where `doc` holds the `day_index`, the `nodes` as
+        `{stream, concept, attribute}` objects and the `edges` as
+        `{src, dst, kind, weight}` objects, in list order. It is formatted
+        straight from this fixed schema: strings and numbers as `json` writes
+        them, without its pure-Python indenting encoder. Attributes must be
+        finite floats."""
         edges = [_EDGE % (int.__repr__(e.dst), _string(e.kind), int.__repr__(e.src),
                           int.__repr__(e.weight)) for e in self.edges]
         nodes = [_NODE % (float.__repr__(n.attribute), _string(n.concept), _string(n.stream))

@@ -1,4 +1,4 @@
-"""Concept event streams: vocabularies, log ingestion, day windows, features.
+"""Concept event streams: vocabularies, log ingestion, day windows.
 
 Event logs are UTF-8 JSON lines. The first line is a header `{"format": 1}`;
 every following line is one record
@@ -20,8 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .errors import ParseError, ValidationError, VocabularyError
 from .schema import read_json, read_lines, require, write_text
@@ -264,25 +262,3 @@ def before_origin(streams: dict[str, list[ConceptEvent]], day_origin: int = 0) -
     """Number of events that start before `day_origin`: day windows drop the
     part of each that lies before it."""
     return sum(e.start < day_origin for evs in streams.values() for e in evs)
-
-
-def duration_attribute(window: DayWindow, stream: str, concept: str,
-                       vocab: Vocabulary) -> float:
-    """Total hours of `concept` inside the window (0.0 when absent)."""
-    if not vocab.contains(stream, concept):
-        raise VocabularyError(f"{concept!r} not in {stream} vocabulary")
-    seconds = sum(e.seconds for e in window.events(stream) if e.concept == concept)
-    return seconds / 3600.0
-
-
-def behavior_feature(window: DayWindow, vocab: Vocabulary) -> np.ndarray:
-    """Per-day duration vector: 4 activity + 4 audio + 100 location hours.
-
-    Location slots follow vocabulary order; slots past the vocabulary length
-    stay zero so the layout is fixed at 108 entries.
-    """
-    out = np.zeros(FEATURE_DIM)
-    for stream in STREAMS:
-        for e in window.events(stream):
-            out[vocab.feature_index(stream, e.concept)] += e.seconds / 3600.0
-    return out

@@ -2,7 +2,7 @@
 
 Each scenario plants its class signal in exactly one mechanism the model can
 exploit (plus one scenario that combines all three). Separating statistics,
-implemented by `oracle_label`:
+implemented by `oracle_label` in `tests/reference.py`:
 
 * node: classes differ only in how long they stay at their signature
   location, so the argmax of signature-location durations recovers the class;
@@ -32,7 +32,6 @@ import numpy as np
 
 from .dataset import Dataset, SubjectRecord
 from .errors import ValidationError
-from .graphs import heterogeneous_edges, homogeneous_edges
 from .schema import build, read_json
 from .streams import (ACTIVITY, AUDIO, LOCATION, MAX_DAYS, STREAMS, ConceptEvent,
                       SECONDS_PER_DAY, Vocabulary, sort_events)
@@ -181,13 +180,13 @@ def generate(spec: ScenarioSpec) -> Dataset:
         trait = float(rng.uniform(0.05, 0.95))
         events: list[ConceptEvent] = []
         labels: dict[int, int] = {}
-        day_classes: dict[int, int] = {}
+        classes: list[int] = []
         for day in range(spec.days):
             if spec.gpa:
                 cls = int(rng.binomial(3, trait))
             else:
                 cls = int(rng.integers(4))
-            day_classes[day] = cls
+            classes.append(cls)
             events.extend(build(rng, cls, day * SECONDS_PER_DAY))
             labeled = rng.random() < spec.label_density
             noisy = rng.random() < spec.noise
@@ -196,48 +195,9 @@ def generate(spec: ScenarioSpec) -> Dataset:
         streams = {s: sort_events([e for e in events if e.stream == s]) for s in STREAMS}
         gpa = None
         if spec.gpa:
-            mean_cls = float(np.mean(list(day_classes.values())))
+            mean_cls = float(np.mean(classes))
             gpa = float(np.clip(0.4 + 3.4 * mean_cls / 3.0
                                 + rng.normal(0.0, spec.gpa_noise), 0.0, 4.0))
         dataset.subjects.append(SubjectRecord(subject=f"s{idx:03d}", streams=streams,
-                                              labels=labels, gpa=gpa,
-                                              day_classes=day_classes))
+                                              labels=labels, gpa=gpa))
     return dataset
-
-
-def _overlap_count(day_events, stream_a, concept_a, stream_b, concept_b) -> int:
-    ev_a = [e for e in day_events.get(stream_a, []) if e.concept == concept_a]
-    ev_b = [e for e in day_events.get(stream_b, []) if e.concept == concept_b]
-    counts = heterogeneous_edges(ev_a, ev_b)
-    return counts.get((concept_a, concept_b), 0)
-
-
-def oracle_label(day_events: dict[str, list[ConceptEvent]],
-                 spec: ScenarioSpec) -> int | None:
-    """Recover the generating class from the scenario's separating statistic;
-    returns None (abstains) when the statistic ties."""
-    if spec.mechanism in ("node", "combined"):
-        hours = []
-        for loc in SIGNATURES:
-            hours.append(sum(e.seconds for e in day_events.get(LOCATION, [])
-                             if e.concept == loc))
-        top = max(hours)
-        if hours.count(top) != 1 or top == 0:
-            return None
-        return hours.index(top)
-    if spec.mechanism == "transition":
-        bigrams = homogeneous_edges(day_events.get(LOCATION, []))
-        scores = [bigrams.get(("classroom", sig), 0)
-                  + bigrams.get((sig, "classroom"), 0) for sig in SIGNATURES]
-        top = max(scores)
-        if scores.count(top) != 1 or top == 0:
-            return None
-        return scores.index(top)
-    # cooccurrence: read back both phases
-    in_audio = _overlap_count(day_events, LOCATION, "dorm", AUDIO, "voice")
-    out_audio = _overlap_count(day_events, LOCATION, "dorm", AUDIO, "silence")
-    in_act = _overlap_count(day_events, LOCATION, "dorm", ACTIVITY, "walking")
-    out_act = _overlap_count(day_events, LOCATION, "dorm", ACTIVITY, "stationary")
-    if in_audio == out_audio or in_act == out_act:
-        return None
-    return 2 * int(out_audio > in_audio) + int(out_act > in_act)

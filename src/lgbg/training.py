@@ -19,7 +19,7 @@ from .metrics import (EvalReport, GradeReport, average_reports,
                       classification_report, grade_report, knn_regress_loo)
 from .model import Model, SampleOutput
 from .schema import write_text
-from .streams import FEATURE_DIM, Vocabulary, behavior_feature, day_span, day_windows
+from .streams import FEATURE_DIM, Vocabulary, day_span
 
 PROB_FLOOR = 1e-12
 
@@ -241,7 +241,11 @@ class GradeResult:
 def grade_regression(model: Model, cohort: list[tuple[str, dict, float]],
                      vocab: Vocabulary, config: TrainConfig) -> GradeResult:
     """Leave-one-out KNN grade prediction from frozen graph representations,
-    against the per-day duration-vector baseline summed over the term."""
+    against the per-day duration-vector baseline summed over the term.
+
+    The baseline adds each node's hours, day by day, into the concept's slot
+    of the 108-entry layout (`Vocabulary.feature_index`), reading the same
+    day graphs the representations are computed from."""
     usable = []
     for subject, streams, gpa in cohort:
         n_days = day_span(streams, config.day_origin)
@@ -254,13 +258,15 @@ def grade_regression(model: Model, cohort: list[tuple[str, dict, float]],
     graph_feats, hand_feats, gpas, names = [], [], [], []
     for subject, streams, gpa, n_days in usable:
         anchors = {d: 0 for d in range(config.span - 1, n_days)}
-        windows = build_samples(streams, anchors, config.span, vocab, model.table,
+        samples = build_samples(streams, anchors, config.span, vocab, model.table,
                                 subject=subject, day_origin=config.day_origin)
-        reps = np.stack([out.g_star for out in model.forward_all(windows)])
+        reps = np.stack([out.g_star for out in model.forward_all(samples)])
         graph_feats.append(reps.mean(axis=0))
+        days = {g.day_index: g for s in samples for g in s.graphs}
         hand = np.zeros(FEATURE_DIM)
-        for window in day_windows(streams, config.day_origin, n_days):
-            hand += behavior_feature(window, vocab)
+        for day in sorted(days):
+            for node in days[day].nodes:
+                hand[vocab.feature_index(node.stream, node.concept)] += node.attribute
         hand_feats.append(hand)
         gpas.append(gpa)
         names.append(subject)

@@ -1,3 +1,4 @@
+import ast
 import errno
 import json
 import math
@@ -710,11 +711,56 @@ def test_duplicate_subject_id_exit_2(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_label_day_given_twice_exit_2(synth_dir, tmp_path, capsys):
+    manifest = synth_dir / "dataset.json"
+    doc = json.loads(manifest.read_text())
+    labels = doc["subjects"][1]["labels"]
+    labels["05"] = (labels["5"] + 1) % 4        # "05" and "5" name the same day
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run")]
+                + FAST) == 2
+    assert capsys.readouterr().err == "error: subject 's001' labels day 5 twice\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from lgbg import *", namespace)
     assert set(lgbg.__all__) <= set(namespace)
     assert all(namespace[name] is getattr(lgbg, name) for name in lgbg.__all__)
+
+
+# Imported by tests/test_acceptance.py, which is kept as written: the
+# per-graph forward and the vector softmax its criteria check.
+KEPT_FOR_ACCEPTANCE = {"local_graph_forward", "softmax"}
+
+
+def test_no_code_in_lgbg_is_reached_only_by_tests():
+    """Each function, class or method that `src/lgbg` defines is named in
+    `src/lgbg` code, as a `Name` or an `Attribute`, or exported in
+    `lgbg.__all__`. Code only the tests use belongs in `tests/reference.py`.
+
+    Dunder methods are left out: Python calls them itself. The check matches
+    by name, so a definition whose name is also used for something else is
+    not flagged. Before their move to `tests/reference.py` it missed
+    `autograd.rows` (named by the `rows` argument of `segment_sum`),
+    `autograd.tanh` (`np.tanh`), `LocalContextGraph.to_dict`
+    (`TrainConfig.to_dict`) and `streams.behavior_feature` (then called by
+    the grade task).
+    """
+    defined, used = set(), set()
+    for path in sorted(Path(lgbg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unreached = {name for name in defined - used - set(lgbg.__all__)
+                 if not (name.startswith("__") and name.endswith("__"))}
+    assert unreached == KEPT_FOR_ACCEPTANCE
 
 
 @pytest.mark.parametrize("origin, code", [(0.9, 2), ("x", 2), (3600, 0)])

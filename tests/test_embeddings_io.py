@@ -9,6 +9,8 @@ from lgbg.errors import EmbeddingError, ParseError, ValidationError
 from lgbg.model import Model
 from lgbg.synth import ScenarioSpec, generate
 
+from reference import vector
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -30,13 +32,13 @@ def test_fallback_vectors_unit_norm(vocab):
 def test_fallback_covers_every_concept(vocab):
     table = EmbeddingTable.fallback(vocab, 8, seed=0)
     for stream, concept in vocab.all_concepts():
-        assert table.vector(concept).shape == (8,)
+        assert vector(table, concept).shape == (8,)
 
 
 def test_unknown_concept_raises(vocab):
     table = EmbeddingTable.fallback(vocab, 8, seed=0)
     with pytest.raises(EmbeddingError):
-        table.vector("submarine")
+        table.index("submarine")
 
 
 def test_from_file_reads_vectors(tmp_path, vocab):
@@ -45,11 +47,11 @@ def test_from_file_reads_vectors(tmp_path, vocab):
     path = tmp_path / "emb.txt"
     path.write_text("\n".join(lines) + "\n")
     table = EmbeddingTable.from_file(path, vocab, dim=4, seed=0)
-    assert np.allclose(table.vector("walking"), [0.0, 0.1, 0.2, 0.3])
-    assert np.array_equal(table.vector("dorm"), [1, 0, 0, 0])
+    assert np.allclose(vector(table, "walking"), [0.0, 0.1, 0.2, 0.3])
+    assert np.array_equal(vector(table, "dorm"), [1, 0, 0, 0])
     # concepts not in the file fall back deterministically
     fallback = EmbeddingTable.fallback(vocab, 4, seed=0)
-    assert np.array_equal(table.vector("voice"), fallback.vector("voice"))
+    assert np.array_equal(vector(table, "voice"), vector(fallback, "voice"))
 
 
 def test_from_file_dimension_mismatch(tmp_path, vocab):
@@ -74,7 +76,7 @@ def test_from_file_ignores_names_outside_the_vocabulary(tmp_path, vocab):
     path.write_text("submarine 1 1 1 1\ndorm 1 0 0 0\nsubmarine 2 2 2 2\n")
     table = EmbeddingTable.from_file(path, vocab, dim=4, seed=0)
     assert table.names == EmbeddingTable.fallback(vocab, 4, seed=0).names
-    assert np.array_equal(table.vector("dorm"), [1, 0, 0, 0])
+    assert np.array_equal(vector(table, "dorm"), [1, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GraphEdge, GraphNode,
 from lgbg.streams import ACTIVITY, AUDIO, LOCATION
 
 from conftest import ev, one_day, random_events
+from reference import graph_dict
 
 
 def adjacent_pair_tally(events):
@@ -167,7 +168,7 @@ def test_edge_weights_invariant_to_event_permutation(vocab, small_table):
     shuffled = {s: list(reversed(v)) for s, v in streams.items()}
     g1 = build_local_graph(one_day(streams), vocab, small_table)
     g2 = build_local_graph(one_day(shuffled), vocab, small_table)
-    assert g1.to_dict() == g2.to_dict()
+    assert graph_dict(g1) == graph_dict(g2)
 
 
 def test_every_het_edge_backed_by_an_overlap(vocab, small_table):
@@ -257,7 +258,7 @@ EDGES = st.lists(st.builds(GraphEdge, src=st.integers(-1, 2 ** 40), dst=st.integ
 @example(day=3, nodes=[], edges=[GraphEdge(0, 1, HOMOGENEOUS, 2)])
 def test_dump_json_matches_json_dumps(day, nodes, edges):
     graph = LocalContextGraph(day_index=day, nodes=nodes, edges=edges)
-    expected = json.dumps(graph.to_dict(), sort_keys=True, separators=(",", ": "),
+    expected = json.dumps(graph_dict(graph), sort_keys=True, separators=(",", ": "),
                           indent=1)
     assert graph.dump_json() == expected
 

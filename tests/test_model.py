@@ -19,6 +19,7 @@ from lgbg.temporal import span_attention
 from lgbg.training import node_variance_loss
 
 from conftest import ev, one_day
+from reference import rows, tanh, total, vector
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,7 +71,7 @@ def test_attribute_scaling_identity_at_full_day(vocab, small_table):
     streams = {ACTIVITY: [ev(ACTIVITY, "running", 0, 86400)]}
     graph = build_local_graph(one_day(streams), vocab, small_table)
     states = initial_states(graph.arrays, small_table)
-    assert np.allclose(states.data[0], small_table.vector("running"), atol=1e-15)
+    assert np.allclose(states.data[0], vector(small_table, "running"), atol=1e-15)
 
 
 def test_attribute_scaling_ratio(vocab, small_table):
@@ -78,7 +79,7 @@ def test_attribute_scaling_ratio(vocab, small_table):
     states = initial_states(graph.arrays, small_table)
     nodes = sorted(graph.nodes, key=lambda n: (n.stream, n.concept))
     for row, node in zip(states.data, nodes):
-        ratio = row / small_table.vector(node.concept)
+        ratio = row / vector(small_table, node.concept)
         assert np.allclose(ratio, node.attribute / 24.0, atol=1e-12)
 
 
@@ -179,12 +180,12 @@ def composed_layer(states, batch, layer, nonlinear):
     parts = []
     for stream, lo, hi in batch.blocks:
         w = layer[stream]
-        new = ag.matmul_t(ag.rows(states, lo, hi), w["self"])
+        new = ag.matmul_t(rows(states, lo, hi), w["self"])
         for kind, mix in mixes.items():
-            new = ag.add(new, ag.matmul_t(ag.rows(mix, lo, hi), w[weight[kind]]))
+            new = ag.add(new, ag.matmul_t(rows(mix, lo, hi), w[weight[kind]]))
         parts.append(new)
     out = parts[0] if len(parts) == 1 else ag.concat(parts, axis=0)
-    return ag.tanh(out) if nonlinear else out
+    return tanh(out) if nonlinear else out
 
 
 LAYER_CASES = ["default", "no_homo", "no_hetero", "linear", "missing_stream", "edgeless"]
@@ -232,7 +233,7 @@ def layer_inputs(name, vocab, table, config):
         return forward(states, batch, layer, not config.linear_layers)
 
     def loss(out):
-        return ag.total(ag.mul(out, readout))
+        return total(ag.mul(out, readout))
 
     return states, weights, run, loss
 
@@ -490,7 +491,7 @@ def test_attention_weights_sum_to_one(vocab, small_table, small_config):
 def full_forward_oracle(graph, table, params, config):
     """Independent straight-line evaluation of the whole local readout."""
     nodes = sorted(graph.nodes, key=lambda n: (n.stream, n.concept))
-    states = np.stack([table.vector(n.concept) * (n.attribute / 24.0) for n in nodes])
+    states = np.stack([vector(table, n.concept) * (n.attribute / 24.0) for n in nodes])
     for layer in params.layers:
         states = dense_layer_oracle(states, graph, layer,
                                     nonlinear=not config.linear_layers)

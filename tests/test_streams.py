@@ -6,13 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgbg.errors import ParseError, ValidationError, VocabularyError
+from lgbg.graphs import build_local_graph
 from lgbg.streams import (ACTIVITY, AUDIO, LOCATION, MAX_DAYS, OTHER_LOCATION,
                           SECONDS_PER_DAY, STREAMS, ConceptEvent, DayWindow,
-                          Vocabulary, behavior_feature, day_span, day_windows,
-                          duration_attribute, parse_event_log, sort_events,
-                          write_event_log)
+                          Vocabulary, day_span, day_windows, parse_event_log,
+                          sort_events, write_event_log)
 
 from conftest import ev, one_day
+from reference import behavior_feature
 
 
 def write_log(path, records, header=True):
@@ -240,41 +241,39 @@ def test_day_windows_match_per_day_reference(raw, origin, extra):
         assert window == reference_window(streams, d, origin)
 
 # ---------------------------------------------------------------------------
-# durations and the 108-d feature
+# durations: the graph's node hours and the 108-d feature
 
 
-def test_duration_additive(vocab):
+def hours(graph) -> dict[tuple[str, str], float]:
+    return {(n.stream, n.concept): n.attribute for n in graph.nodes}
+
+
+def test_duration_additive(vocab, small_table):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 1800),
                           ev(ACTIVITY, "walking", 7200, 9000)]}
-    window = one_day(streams)
-    assert duration_attribute(window, ACTIVITY, "walking", vocab) == 1.0
+    graph = build_local_graph(one_day(streams), vocab, small_table)
+    assert hours(graph) == {(ACTIVITY, "walking"): 1.0}
 
 
-def test_duration_absent_concept_zero(vocab):
-    window = one_day({})
-    assert duration_attribute(window, AUDIO, "voice", vocab) == 0.0
+def test_duration_absent_concept_zero(vocab, small_table):
+    streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 1800)]}
+    graph = build_local_graph(one_day(streams), vocab, small_table)
+    assert (AUDIO, "voice") not in hours(graph)
 
 
-def test_duration_unknown_concept(vocab):
-    window = one_day({})
-    with pytest.raises(VocabularyError):
-        duration_attribute(window, AUDIO, "humming", vocab)
-
-
-def test_duration_matches_per_second_oracle(vocab):
+def test_duration_matches_per_second_oracle(vocab, small_table):
     rng = np.random.default_rng(9)
     events = []
     for _ in range(15):
         start = int(rng.integers(0, 80000))
         events.append(ev(AUDIO, str(rng.choice(["voice", "silence"])),
                          start, start + int(rng.integers(1, 5000))))
-    window = one_day({AUDIO: events})
+    graph = build_local_graph(one_day({AUDIO: events}), vocab, small_table)
     for concept in ("voice", "silence"):
         per_second = sum(
             max(0, min(e.end, 86400) - max(e.start, 0))
             for e in events if e.concept == concept) / 3600.0
-        got = duration_attribute(window, AUDIO, concept, vocab)
-        assert abs(got - per_second) < 1e-9
+        assert abs(hours(graph)[(AUDIO, concept)] - per_second) < 1e-9
 
 
 def test_behavior_feature_empty_day(vocab):
@@ -288,19 +287,25 @@ def test_behavior_feature_full_day_stationary(vocab):
     assert feat.sum() == 24.0
 
 
-def test_behavior_feature_cross_checks_duration(vocab):
+def test_behavior_feature_cross_checks_duration(vocab, small_table):
+    """Every node's hours are the feature slot's bits, and every slot without
+    a node is 0.0. The 29 seven-second `voice` events sum to other bits when
+    their seconds are added before dividing."""
     rng = np.random.default_rng(4)
     streams = {
         ACTIVITY: [ev(ACTIVITY, str(rng.choice(vocab.concepts(ACTIVITY))), s, s + 600)
                    for s in range(0, 40000, 4000)],
+        AUDIO: [ev(AUDIO, "voice", s, s + 7) for s in range(0, 29 * 60, 60)],
         LOCATION: [ev(LOCATION, "dorm", 0, 7200), ev(LOCATION, "gym", 9000, 12600)],
     }
     window = one_day(streams)
     feat = behavior_feature(window, vocab)
-    for stream in (ACTIVITY, AUDIO, LOCATION):
-        for concept in vocab.concepts(stream):
-            expected = duration_attribute(window, stream, concept, vocab)
-            assert feat[vocab.feature_index(stream, concept)] == pytest.approx(expected)
+    slots = {vocab.feature_index(s, c): h
+             for (s, c), h in hours(build_local_graph(window, vocab, small_table)).items()}
+    assert sum(e.seconds for e in streams[AUDIO]) / 3600.0 != slots[
+        vocab.feature_index(AUDIO, "voice")]
+    for slot, value in enumerate(feat):
+        assert value == slots.get(slot, 0.0)
 
 
 def test_behavior_feature_invariant_to_event_order(tmp_path, vocab):

@@ -7,11 +7,12 @@ from lgbg.dataset import load_dataset, write_dataset
 from lgbg.embeddings import EmbeddingTable
 from lgbg.config import TrainConfig
 from lgbg.errors import ValidationError
-from lgbg.streams import behavior_feature, parse_event_log, write_event_log
-from lgbg.synth import MECHANISMS, ScenarioSpec, generate, oracle_label
+from lgbg.streams import parse_event_log, write_event_log
+from lgbg.synth import MECHANISMS, ScenarioSpec, generate
 from lgbg.training import run_protocol
 
 from conftest import one_day
+from reference import behavior_feature, oracle_label
 
 
 def test_rejects_unknown_mechanism():
@@ -24,7 +25,7 @@ def test_behavior_features_pairwise_distinct_across_classes():
     dataset = generate(spec)
     rec = dataset.subjects[0]
     by_class = {}
-    for day, cls in rec.day_classes.items():
+    for day, cls in rec.labels.items():     # zero noise: each label is the planted class
         by_class.setdefault(cls, day)
     assert set(by_class) == {0, 1, 2, 3}
     feats = [behavior_feature(one_day(rec.streams, by_class[c]), dataset.vocab)
@@ -70,12 +71,15 @@ def test_dataset_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
 def test_oracle_recovers_every_zero_noise_day(mechanism):
+    """At zero noise and full density every day is labeled with its planted
+    class, and the oracle reads that class back from the day's events."""
     spec = ScenarioSpec(mechanism=mechanism, subjects=3, days=10, seed=11)
     dataset = generate(spec)
     for rec in dataset.subjects:
-        for day, cls in rec.day_classes.items():
+        assert sorted(rec.labels) == list(range(spec.days))
+        for day, label in rec.labels.items():
             window = one_day(rec.streams, day)
-            assert oracle_label(window.streams, spec) == cls
+            assert oracle_label(window.streams, spec) == label
 
 
 def test_oracle_is_order_invariant():
@@ -91,13 +95,6 @@ def test_oracle_is_order_invariant():
 def test_oracle_abstains_on_ambiguity():
     spec = ScenarioSpec(mechanism="node", subjects=1, days=1, seed=1)
     assert oracle_label({"location": []}, spec) is None
-
-
-def test_zero_noise_labels_match_day_classes():
-    dataset = generate(ScenarioSpec(mechanism="node", subjects=2, days=6, seed=7))
-    for rec in dataset.subjects:
-        for day, label in rec.labels.items():
-            assert label == rec.day_classes[day]
 
 
 def test_label_density_thins_labels():

@@ -10,9 +10,13 @@ from lgbg.errors import NumericError, ValidationError
 from lgbg.metrics import (average_reports, classification_report, grade_report,
                           knn_regress_loo)
 from lgbg.model import Model
+from lgbg.streams import LOCATION, SECONDS_PER_DAY, day_span, day_windows, sort_events
 from lgbg.synth import ScenarioSpec, generate
 from lgbg.training import (cross_entropy, evaluate, grade_regression,
                            node_variance_loss, split_protocol, total_loss, train)
+
+from conftest import ev
+from reference import behavior_feature
 
 
 def tiny_dataset(mechanism="combined", subjects=3, days=6, seed=5,
@@ -362,3 +366,39 @@ def test_grade_regression_requires_two_usable_subjects():
     cohort = [(r.subject, r.streams, r.gpa) for r in dataset.subjects]
     with pytest.raises(ValidationError):
         grade_regression(model, cohort, dataset.vocab, config)
+
+
+def test_grade_baseline_is_the_event_side_feature_sum_bit_for_bit(monkeypatch):
+    """The baseline read from node hours is, bit for bit, the per-day
+    features summed from each day's events, and so are its predictions. Each
+    subject has a stay that straddles midnight and the day boundary at the
+    origin, and day 0 starts before the origin."""
+    features = []
+
+    def knn(feats, gpas, k):
+        features.append(feats)
+        return knn_regress_loo(feats, gpas, k=k)
+    monkeypatch.setattr(training, "knn_regress_loo", knn)
+    dataset, config, table, _ = tiny_dataset(subjects=5, days=7, seed=8, gpa=True)
+    config = config.replace(day_origin=5000)
+    cohort = []
+    for i, rec in enumerate(dataset.subjects):
+        streams = dict(rec.streams)
+        streams[LOCATION] = sort_events(streams[LOCATION] + [
+            ev(LOCATION, "dorm", d * SECONDS_PER_DAY - 1800 - 7 * i,
+               d * SECONDS_PER_DAY + 7200 + 13 * i) for d in range(1, 7)])
+        cohort.append((rec.subject, streams, rec.gpa))
+    result = grade_regression(Model(config, table, ""), cohort, dataset.vocab, config)
+
+    ref = []
+    for _, streams, _ in cohort:
+        hand = np.zeros(108)
+        for window in day_windows(streams, config.day_origin,
+                                  day_span(streams, config.day_origin)):
+            hand += behavior_feature(window, dataset.vocab)
+        ref.append(hand)
+    gpas = np.array([gpa for _, _, gpa in cohort])
+    want = grade_report(gpas, knn_regress_loo(np.stack(ref), gpas, k=config.knn_k))
+    assert np.array_equal(features[1], np.stack(ref))
+    assert result.handcrafted.predictions == want.predictions
+    assert result.subjects == [rec.subject for rec in dataset.subjects]
