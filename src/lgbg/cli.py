@@ -115,7 +115,8 @@ def cmd_build_graph(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     config, _ = _config_and_given(args)
     parsed = parse_event_log(args.log, vocab)
-    table = _table_for(args, vocab, config)
+    # Day files hold no vectors, but a bad --embeddings file still exits 2.
+    _table_for(args, vocab, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # graphs.json is written last and marks a complete build, so a rebuild
@@ -125,7 +126,7 @@ def cmd_build_graph(args) -> int:
     if days == 0:
         print("warning: no events after the day origin; nothing to build", file=sys.stderr)
     for d, window in enumerate(day_windows(parsed.streams, config.day_origin, days)):
-        dump_graph(build_local_graph(window, vocab, table), out / f"day_{d:05d}.json")
+        dump_graph(build_local_graph(window, vocab), out / f"day_{d:05d}.json")
     # Day files of an earlier, longer build are stale once this build's are
     # in; MAX_DAYS keeps every day index to five digits.
     for path in out.glob("day_" + "[0-9]" * 5 + ".json"):

@@ -38,9 +38,20 @@ class EmbeddingTable:
             raise EmbeddingError(f"no embedding for concept {name!r}")
         return self._index[name]
 
+    def check_rows(self, vocab: Vocabulary) -> None:
+        """Raise unless each concept of `vocab` is at its
+        `Vocabulary.embedding_rows` row, the row that day graphs gather: a
+        missing concept, or a table that orders them otherwise, is an input
+        error rather than a gather of the wrong rows."""
+        for name, row in vocab.embedding_rows.items():
+            if self.index(name) != row:
+                raise EmbeddingError(f"embedding table orders its concepts otherwise than "
+                                     f"the vocabulary: {name!r} is at row "
+                                     f"{self.index(name)}, not {row}")
+
     @classmethod
     def fallback(cls, vocab: Vocabulary, dim: int, seed: int) -> "EmbeddingTable":
-        names = sorted({c for _, c in vocab.all_concepts()})
+        names = list(vocab.embedding_rows)
         vectors = np.stack([_hash_vector(n, dim, seed) for n in names])
         return cls(names, vectors, source="deterministic-fallback")
 

@@ -145,9 +145,9 @@ def initial_states(arrays: GraphArrays | GraphBatch, table: EmbeddingTable) -> T
     """Each concept embedding scaled by its fraction-of-day, one row per node.
 
     Embeddings and attributes are fixed inputs, so the result is a constant
-    with respect to every trainable tensor. Rows are gathered by the
-    embedding indices the graphs were built with, so `table` must order its
-    concepts as that table did; every table of one vocabulary does.
+    with respect to every trainable tensor. Rows are gathered by the graphs'
+    `embedding_index`, the rows of `Vocabulary.embedding_rows`; `Dataset.samples`
+    and `build_samples` check that `table` keeps them (`EmbeddingTable.check_rows`).
     """
     return ag.constant(table.vectors[arrays.embedding_index] * arrays.day_fraction)
 

@@ -27,15 +27,15 @@ HETEROGENEOUS = "heterogeneous"
 N_CLASSES = 4  # PAM quadrants, see quantize_pam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphNode:
     stream: str
     concept: str
     attribute: float  # hours of the concept within the day, > 0
-    embedding_index: int  # row of the concept in the embedding table
+    embedding_index: int  # the concept's row, see Vocabulary.embedding_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphEdge:
     src: int
     dst: int
@@ -182,7 +182,7 @@ def heterogeneous_edges(events_a: list[ConceptEvent],
     return counts
 
 
-def build_local_graph(window: DayWindow, vocab: Vocabulary, table) -> LocalContextGraph:
+def build_local_graph(window: DayWindow, vocab: Vocabulary) -> LocalContextGraph:
     """Assemble one day's graph; nodes in (stream, concept) lexicographic order."""
     durations: dict[tuple[str, str], float] = {}
     for stream in STREAMS:
@@ -191,8 +191,9 @@ def build_local_graph(window: DayWindow, vocab: Vocabulary, table) -> LocalConte
             durations[key] = durations.get(key, 0.0) + e.seconds / 3600.0
 
     keys = sorted(durations)
+    rows = vocab.embedding_rows
     nodes = [GraphNode(stream=s, concept=c, attribute=durations[(s, c)],
-                       embedding_index=table.index(c)) for s, c in keys]
+                       embedding_index=rows[c]) for s, c in keys]
     index = {k: i for i, k in enumerate(keys)}
 
     edges: list[GraphEdge] = []
@@ -211,20 +212,32 @@ def build_local_graph(window: DayWindow, vocab: Vocabulary, table) -> LocalConte
     return LocalContextGraph(day_index=window.day_index, nodes=nodes, edges=edges)
 
 
+def build_days(streams: dict[str, list[ConceptEvent]], days: int, vocab: Vocabulary,
+               day_origin: int = 0) -> list[LocalContextGraph]:
+    """The graphs of days 0 .. `days` - 1 after `day_origin`, in day order."""
+    return [build_local_graph(w, vocab) for w in day_windows(streams, day_origin, days)]
+
+
+def span_samples(days: list[LocalContextGraph], labels: dict[int, int], span: int,
+                 subject: str = "") -> list[GlobalSample]:
+    """One sample per labeled day that has a full span of prior days, over a
+    subject's day graphs from day 0 through its last labeled day; a day graph
+    is shared by every sample that contains it."""
+    if span < 1:
+        raise ValidationError(f"span {span} must be >= 1")
+    return [GlobalSample(graphs=days[a - span + 1:a + 1], label=labels[a],
+                         subject=subject, anchor_day=a)
+            for a in sorted(labels) if a >= span - 1]
+
+
 def build_samples(streams: dict[str, list[ConceptEvent]], labels: dict[int, int],
                   span: int, vocab: Vocabulary, table, subject: str = "",
                   day_origin: int = 0) -> list[GlobalSample]:
-    """One sample per labeled day that has a full span of prior days; a day
-    graph is built once and shared by every sample that contains it."""
-    if span < 1:
-        raise ValidationError(f"span {span} must be >= 1")
-    anchors = [day for day in sorted(labels) if day >= span - 1]
-    windows = day_windows(streams, day_origin, anchors[-1] + 1 if anchors else 0)
-    graphs = {d: build_local_graph(windows[d], vocab, table)
-              for d in sorted({d for a in anchors for d in range(a - span + 1, a + 1)})}
-    return [GlobalSample(graphs=[graphs[d] for d in range(a - span + 1, a + 1)],
-                         label=labels[a], subject=subject, anchor_day=a)
-            for a in anchors]
+    """`span_samples` over the day graphs of `streams`, after checking that
+    `table` has the rows the graphs gather (`EmbeddingTable.check_rows`)."""
+    table.check_rows(vocab)
+    days = build_days(streams, max(labels, default=-1) + 1, vocab, day_origin)
+    return span_samples(days, labels, span, subject)
 
 
 def quantize_pam(score: int) -> int:

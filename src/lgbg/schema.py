@@ -10,8 +10,9 @@ checks each value against its dataclass field's annotation.
 Each fault raises one error, which the CLI reports with exit code 2:
 
 * a file that does not exist: `ValidationError`;
-* bytes that are not UTF-8, text that is not JSON, a document that is not a
-  JSON object, or a wrong `format`: `ParseError`;
+* bytes that are not UTF-8, text that is not JSON, an object that gives one
+  key twice, a document that is not a JSON object, or a wrong `format`:
+  `ParseError`;
 * a field that is missing or has the wrong type: `ParseError`. A bool never
   counts as an int or a float, and a number must be finite, so JSON
   `NaN`/`Infinity` and overflowing literals such as `1e999` are rejected;
@@ -61,11 +62,21 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        doc[key] = value
+    return doc
+
+
 def read_json(path, what: str, fmt: int | None = None) -> dict:
     """The JSON object in the file at `path`; its `format` must equal `fmt`
     unless `fmt` is None."""
     try:
-        doc = json.loads(read_text(path, what), parse_constant=_no_constant)
+        doc = json.loads(read_text(path, what), parse_constant=_no_constant,
+                         object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:
         raise ParseError(f"{what} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import ParseError, ValidationError, VocabularyError
 from .schema import read_json, read_lines, require, write_text
@@ -79,6 +80,13 @@ class Vocabulary:
             out.extend((stream, c) for c in self.concepts(stream))
         return out
 
+    @cached_property
+    def embedding_rows(self) -> dict[str, int]:
+        """The row of each concept name in every embedding table of this
+        vocabulary: the names in sorted order, each once, so a name that two
+        streams share has one row. Day graphs store these rows."""
+        return {n: i for i, n in enumerate(sorted({c for _, c in self.all_concepts()}))}
+
     def feature_index(self, stream: str, concept: str) -> int:
         """Slot of (stream, concept) in the fixed 108-entry feature layout."""
         vocab = self.concepts(stream)
@@ -114,7 +122,7 @@ class Vocabulary:
         return cls(locations=tuple(require(doc, LOCATION, list[str])))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ConceptEvent:
     """One detected concept occurrence with [start, end) second timestamps."""
 

@@ -245,7 +245,9 @@ def grade_regression(model: Model, cohort: list[tuple[str, dict, float]],
 
     The baseline adds each node's hours, day by day, into the concept's slot
     of the 108-entry layout (`Vocabulary.feature_index`), reading the same
-    day graphs the representations are computed from."""
+    day graphs the representations are computed from. `cohort` holds
+    `(subject, streams, gpa)` triples of events, as a generated dataset's
+    records do; a loaded dataset holds day graphs, not events."""
     usable = []
     for subject, streams, gpa in cohort:
         n_days = day_span(streams, config.day_origin)

@@ -724,6 +724,31 @@ def test_label_day_given_twice_exit_2(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_manifest_label_key_given_twice_exit_2(synth_dir, tmp_path, capsys):
+    manifest = synth_dir / "dataset.json"
+    doc = json.loads(manifest.read_text())
+    doc["subjects"][0]["labels"] = {"5": 3, "6": 1}
+    # json.dumps writes each key once, so the repeat is made in the text.
+    manifest.write_text(json.dumps(doc).replace('"5": 3, "6": 1', '"5": 3, "5": 1'))
+    capsys.readouterr()
+    assert main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run")]
+                + FAST) == 2
+    assert capsys.readouterr().err == ("error: dataset manifest is not valid JSON: "
+                                       "key '5' appears twice in one object\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_key_given_twice_exit_2(synth_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"epochs": 2, "seed": 1, "seed": 2}')
+    capsys.readouterr()
+    assert main(["train", "--data", str(synth_dir), "--out", str(tmp_path / "run"),
+                 "--config", str(config)]) == 2
+    assert capsys.readouterr().err == ("error: config file is not valid JSON: "
+                                       "key 'seed' appears twice in one object\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from lgbg import *", namespace)

@@ -1,0 +1,150 @@
+"""A loaded dataset holds day graphs, not events: it must give the samples
+its generating dataset gives, keep its logs' ingest counters, refuse an
+embedding table whose rows its graphs would misread, and stay smaller than
+its parsed events."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lgbg.cli import main
+from lgbg.config import TrainConfig
+from lgbg.dataset import load_dataset, write_dataset
+from lgbg.embeddings import EmbeddingTable
+from lgbg.errors import EmbeddingError, ValidationError
+from lgbg.model import Model
+from lgbg.streams import parse_event_log
+from lgbg.synth import ScenarioSpec, generate
+
+ORIGIN = 3 * 3600
+
+
+@pytest.fixture
+def written(tmp_path):
+    """A generated dataset with a day origin and grades, and its directory."""
+    dataset = generate(ScenarioSpec(mechanism="combined", subjects=3, days=7, seed=11,
+                                    label_density=0.7, gpa=True))
+    dataset.day_origin = ORIGIN
+    write_dataset(dataset, tmp_path / "data")
+    return dataset, tmp_path / "data"
+
+
+def _key(sample):
+    return (sample.subject, sample.anchor_day, sample.label)
+
+
+def test_loaded_samples_equal_generated_samples(written, small_config):
+    dataset, root = written
+    loaded = load_dataset(root)
+    assert all(rec.streams is None for rec in loaded.subjects)
+    table = EmbeddingTable.fallback(dataset.vocab, small_config.d, small_config.seed)
+    for span in (1, 3, 5):
+        want = dataset.samples(span, table)
+        got = loaded.samples(span, table)
+        assert want and [_key(s) for s in got] == [_key(s) for s in want]
+        for a, b in zip(want, got):
+            assert [g.dump_json() for g in a.graphs] == [g.dump_json() for g in b.graphs]
+        model = Model(small_config.replace(span=span), table, dataset.vocab.digest())
+        for a, b in zip(model.forward_all(want), model.forward_all(got)):
+            assert np.array_equal(a.probs.data, b.probs.data)
+
+
+def test_samples_of_two_spans_share_the_stored_graphs(written, small_table):
+    _, root = written
+    loaded = load_dataset(root)
+    first = loaded.samples(3, small_table)
+    second = loaded.samples(2, small_table)
+    assert first and second and all(len(s.graphs) == 2 for s in second)
+    days = {(s.subject, g.day_index): g for s in first for g in s.graphs}
+    for s in second:
+        for g in s.graphs:
+            assert days.get((s.subject, g.day_index), g) is g
+
+
+def test_loaded_dataset_cannot_be_written(written, tmp_path):
+    _, root = written
+    with pytest.raises(ValidationError, match="holds day graphs"):
+        write_dataset(load_dataset(root), tmp_path / "copy")
+
+
+def test_ingest_counters_equal_build_graph_counters(tmp_path):
+    dataset = generate(ScenarioSpec(mechanism="node", subjects=1, days=3, seed=2))
+    dataset.day_origin = ORIGIN
+    root = tmp_path / "data"
+    write_dataset(dataset, root)
+    log = root / "logs" / "s000.jsonl"
+    lines = log.read_text().splitlines()
+    lines += [lines[1], lines[2], lines[1],
+              json.dumps({"stream": "location", "concept": "harbour", "start": 10,
+                          "end": 20}),
+              json.dumps({"stream": "location", "concept": "pier", "start": 90000,
+                          "end": 90060})]
+    log.write_text("\n".join(lines) + "\n")
+    assert main(["build-graph", "--log", str(log), "--vocab", str(root / "vocab.json"),
+                 "--day-origin", str(ORIGIN), "--out", str(tmp_path / "graphs")]) == 0
+    index = json.loads((tmp_path / "graphs" / "graphs.json").read_text())
+    (rec,) = load_dataset(root).subjects
+    counters = (rec.remapped_locations, rec.deduplicated, rec.before_origin)
+    assert counters == (index["remapped_locations"], index["deduplicated"],
+                        index["before_origin"])
+    assert counters[:2] == (2, 3) and counters[2] >= 1
+
+
+def _reordered(table: EmbeddingTable, order) -> EmbeddingTable:
+    return EmbeddingTable([table.names[i] for i in order], table.vectors[order],
+                          table.source)
+
+
+def test_table_in_another_order_or_missing_a_concept_is_refused(written, small_table):
+    dataset, root = written
+    n = len(small_table.names)
+    swapped = _reordered(small_table, [1, 0] + list(range(2, n)))
+    short = _reordered(small_table, list(range(n - 1)))
+    for data in (dataset, load_dataset(root)):
+        with pytest.raises(EmbeddingError, match="row"):
+            data.samples(3, swapped)
+        with pytest.raises(EmbeddingError, match=repr(small_table.names[-1])):
+            data.samples(3, short)
+
+
+@pytest.mark.parametrize("order", ["swapped", "short"])
+def test_eval_checkpoint_with_reordered_or_short_table_exits_2(written, tmp_path, capsys,
+                                                               order):
+    dataset, root = written
+    config = TrainConfig(d=8, de=6, dp=10, layers=1)
+    table = EmbeddingTable.fallback(dataset.vocab, config.d, config.seed)
+    n = len(table.names)
+    table = _reordered(table, [1, 0] + list(range(2, n)) if order == "swapped"
+                       else list(range(n - 1)))
+    Model(config, table, dataset.vocab.digest()).save(tmp_path / "ckpt.json")
+    capsys.readouterr()
+    assert main(["eval", "--data", str(root), "--out", str(tmp_path / "out"),
+                 "--checkpoint", str(tmp_path / "ckpt.json"), "--splits", "2"]) == 2
+    err = capsys.readouterr().err
+    want = ("error: embedding table orders its concepts otherwise" if order == "swapped"
+            else "error: no embedding for concept")
+    assert err.startswith(want) and err.count("\n") == 1, err
+
+
+def test_load_peak_stays_below_the_parsed_events(tmp_path):
+    """The dataset keeps day graphs and drops each subject's events once they
+    are built, so loading never holds every subject's parsed log at once."""
+    root = tmp_path / "data"
+    write_dataset(generate(ScenarioSpec(mechanism="combined", subjects=16, days=4,
+                                        seed=4)), root)
+    vocab = load_dataset(root).vocab
+    tracemalloc.start()
+    try:
+        parsed = [parse_event_log(p, vocab) for p in sorted((root / "logs").glob("*"))]
+        held = tracemalloc.get_traced_memory()[0]
+        del parsed
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        data = load_dataset(root)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(data.subjects) == 16
+    assert peak < held, (peak, held)

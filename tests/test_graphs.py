@@ -117,15 +117,15 @@ def test_heterogeneous_matches_all_pairs_oracle_on_ties():
 # local graph construction
 
 
-def test_empty_window_empty_graph(vocab, small_table):
-    graph = build_local_graph(one_day({}), vocab, small_table)
+def test_empty_window_empty_graph(vocab):
+    graph = build_local_graph(one_day({}), vocab)
     assert graph.is_empty()
     assert graph.edges == []
 
 
-def test_single_event_graph(vocab, small_table):
+def test_single_event_graph(vocab):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 5400)]}
-    graph = build_local_graph(one_day(streams), vocab, small_table)
+    graph = build_local_graph(one_day(streams), vocab)
     assert len(graph.nodes) == 1
     assert graph.nodes[0].attribute == 1.5
     assert graph.edges == []
@@ -140,8 +140,8 @@ def scripted_day():
     }
 
 
-def test_scripted_day_matches_hand_enumeration(vocab, small_table):
-    graph = build_local_graph(one_day(scripted_day()), vocab, small_table)
+def test_scripted_day_matches_hand_enumeration(vocab):
+    graph = build_local_graph(one_day(scripted_day()), vocab)
     keys = [(n.stream, n.concept) for n in graph.nodes]
     assert keys == [(ACTIVITY, "stationary"), (ACTIVITY, "walking"),
                     (AUDIO, "silence"), (AUDIO, "voice"),
@@ -163,15 +163,15 @@ def test_scripted_day_matches_hand_enumeration(vocab, small_table):
     assert sum(e.kind == HETEROGENEOUS for e in graph.edges) == 18
 
 
-def test_edge_weights_invariant_to_event_permutation(vocab, small_table):
+def test_edge_weights_invariant_to_event_permutation(vocab):
     streams = scripted_day()
     shuffled = {s: list(reversed(v)) for s, v in streams.items()}
-    g1 = build_local_graph(one_day(streams), vocab, small_table)
-    g2 = build_local_graph(one_day(shuffled), vocab, small_table)
+    g1 = build_local_graph(one_day(streams), vocab)
+    g2 = build_local_graph(one_day(shuffled), vocab)
     assert graph_dict(g1) == graph_dict(g2)
 
 
-def test_every_het_edge_backed_by_an_overlap(vocab, small_table):
+def test_every_het_edge_backed_by_an_overlap(vocab):
     rng = np.random.default_rng(11)
     streams = {
         ACTIVITY: random_events(rng, ACTIVITY, ["walking", "running"], 20),
@@ -179,7 +179,7 @@ def test_every_het_edge_backed_by_an_overlap(vocab, small_table):
         LOCATION: random_events(rng, LOCATION, ["dorm", "gym"], 20),
     }
     window = one_day(streams)
-    graph = build_local_graph(window, vocab, small_table)
+    graph = build_local_graph(window, vocab)
     for e in graph.edges:
         if e.kind != HETEROGENEOUS:
             continue

@@ -25,14 +25,16 @@ DATA = Path(__file__).parent / "data"
 
 
 def mixed_graph(vocab, table):
-    """5-node 3-stream graph with both edge kinds and varied weights."""
+    """5-node 3-stream graph with both edge kinds and varied weights, whose
+    embedding rows `table` holds."""
+    table.check_rows(vocab)
     streams = {
         ACTIVITY: [ev(ACTIVITY, "walking", 0, 3600), ev(ACTIVITY, "stationary", 3600, 9000),
                    ev(ACTIVITY, "walking", 9000, 12600)],
         AUDIO: [ev(AUDIO, "voice", 0, 5000), ev(AUDIO, "silence", 5400, 12000)],
         LOCATION: [ev(LOCATION, "dorm", 0, 8000), ev(LOCATION, "library", 8200, 12600)],
     }
-    return build_local_graph(one_day(streams), vocab, table)
+    return build_local_graph(one_day(streams), vocab)
 
 
 def dense_layer_oracle(states, graph, layer, nonlinear):
@@ -69,7 +71,7 @@ def dense_layer_oracle(states, graph, layer, nonlinear):
 
 def test_attribute_scaling_identity_at_full_day(vocab, small_table):
     streams = {ACTIVITY: [ev(ACTIVITY, "running", 0, 86400)]}
-    graph = build_local_graph(one_day(streams), vocab, small_table)
+    graph = build_local_graph(one_day(streams), vocab)
     states = initial_states(graph.arrays, small_table)
     assert np.allclose(states.data[0], vector(small_table, "running"), atol=1e-15)
 
@@ -121,7 +123,7 @@ def make_params(config, seed=0):
 
 def test_isolated_node_gets_self_term_only(vocab, small_table, small_config):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 7200)]}
-    graph = build_local_graph(one_day(streams), vocab, small_table)
+    graph = build_local_graph(one_day(streams), vocab)
     params = make_params(small_config)
     states = initial_states(graph.arrays, small_table)
     compiled = batch_graphs([graph.arrays], small_config)
@@ -137,7 +139,7 @@ def test_single_edge_alpha_is_one_regardless_of_weight(vocab, small_table, small
         graph = LocalContextGraph(day_index=0)
         base = build_local_graph(one_day(
             {AUDIO: [ev(AUDIO, "voice", 0, 3600), ev(AUDIO, "silence", 3600, 7200)]}),
-            vocab, small_table)
+            vocab)
         graph.nodes = base.nodes
         graph.edges = [GraphEdge(src=e.src, dst=e.dst, kind=e.kind, weight=weight)
                        for e in base.edges]
@@ -195,7 +197,7 @@ def layer_case(name, vocab, table, config):
     """The multi-graph batch of case `name` and its config; checks which edge
     kinds and streams the batch holds."""
     def graph(**streams):
-        return build_local_graph(one_day(streams), vocab, table).arrays
+        return build_local_graph(one_day(streams), vocab).arrays
 
     mixed = mixed_graph(vocab, table).arrays
     chatter = graph(audio=[ev(AUDIO, "voice", 0, 3600), ev(AUDIO, "silence", 3600, 7200),
@@ -411,7 +413,7 @@ def test_empty_graph_uses_empty_day_vector(vocab, small_table, small_config):
 
 def test_edgeless_graph_zero_structural(vocab, small_table, small_config):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 7200)]}
-    graph = build_local_graph(one_day(streams), vocab, small_table)
+    graph = build_local_graph(one_day(streams), vocab)
     params = make_params(small_config)
     rep = local_graph_forward(graph, small_table, params, small_config)
     assert np.array_equal(rep.g_e.data, np.zeros((1, small_config.de)))
@@ -537,10 +539,10 @@ def invariance_samples(vocab, table):
     empty, and a day repeated within one span."""
     mixed = mixed_graph(vocab, table)
     edgeless = build_local_graph(one_day({ACTIVITY: [ev(ACTIVITY, "walking", 0, 7200)]}),
-                                 vocab, table)
+                                 vocab)
     chatter = build_local_graph(one_day(
         {AUDIO: [ev(AUDIO, "voice", 0, 3600), ev(AUDIO, "silence", 3600, 7200),
-                 ev(AUDIO, "voice", 7200, 9000)]}), vocab, table)
+                 ev(AUDIO, "voice", 7200, 9000)]}), vocab)
     empty = LocalContextGraph(day_index=0)
     spans = [[mixed, empty, edgeless], [empty, edgeless, chatter],
              [chatter, mixed, mixed], [empty, empty, empty]]

@@ -248,27 +248,27 @@ def hours(graph) -> dict[tuple[str, str], float]:
     return {(n.stream, n.concept): n.attribute for n in graph.nodes}
 
 
-def test_duration_additive(vocab, small_table):
+def test_duration_additive(vocab):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 1800),
                           ev(ACTIVITY, "walking", 7200, 9000)]}
-    graph = build_local_graph(one_day(streams), vocab, small_table)
+    graph = build_local_graph(one_day(streams), vocab)
     assert hours(graph) == {(ACTIVITY, "walking"): 1.0}
 
 
-def test_duration_absent_concept_zero(vocab, small_table):
+def test_duration_absent_concept_zero(vocab):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 1800)]}
-    graph = build_local_graph(one_day(streams), vocab, small_table)
+    graph = build_local_graph(one_day(streams), vocab)
     assert (AUDIO, "voice") not in hours(graph)
 
 
-def test_duration_matches_per_second_oracle(vocab, small_table):
+def test_duration_matches_per_second_oracle(vocab):
     rng = np.random.default_rng(9)
     events = []
     for _ in range(15):
         start = int(rng.integers(0, 80000))
         events.append(ev(AUDIO, str(rng.choice(["voice", "silence"])),
                          start, start + int(rng.integers(1, 5000))))
-    graph = build_local_graph(one_day({AUDIO: events}), vocab, small_table)
+    graph = build_local_graph(one_day({AUDIO: events}), vocab)
     for concept in ("voice", "silence"):
         per_second = sum(
             max(0, min(e.end, 86400) - max(e.start, 0))
@@ -287,7 +287,7 @@ def test_behavior_feature_full_day_stationary(vocab):
     assert feat.sum() == 24.0
 
 
-def test_behavior_feature_cross_checks_duration(vocab, small_table):
+def test_behavior_feature_cross_checks_duration(vocab):
     """Every node's hours are the feature slot's bits, and every slot without
     a node is 0.0. The 29 seven-second `voice` events sum to other bits when
     their seconds are added before dividing."""
@@ -301,7 +301,7 @@ def test_behavior_feature_cross_checks_duration(vocab, small_table):
     window = one_day(streams)
     feat = behavior_feature(window, vocab)
     slots = {vocab.feature_index(s, c): h
-             for (s, c), h in hours(build_local_graph(window, vocab, small_table)).items()}
+             for (s, c), h in hours(build_local_graph(window, vocab)).items()}
     assert sum(e.seconds for e in streams[AUDIO]) / 3600.0 != slots[
         vocab.feature_index(AUDIO, "voice")]
     for slot, value in enumerate(feat):
