@@ -27,7 +27,7 @@ from .graphs import build_local_graph, dump_graph
 from .model import Model
 from .schema import write_text
 from .streams import Vocabulary, before_origin, day_span, day_windows, parse_event_log
-from .synth import ScenarioSpec, generate
+from .synth import VOCAB, ScenarioSpec, generate, subject_events
 from .training import evaluate, run_protocol, total_loss, train
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -192,10 +192,10 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = ScenarioSpec.load(args.spec)
-    dataset = generate(spec)
-    write_dataset(dataset, args.out)
-    n_days = sum(len(s.labels) for s in dataset.subjects)
-    print(f"wrote {len(dataset.subjects)} subjects, {n_days} labeled days "
+    manifest = write_dataset(args.out, VOCAB, subject_events(spec),
+                             scenario=spec.to_dict())
+    n_days = sum(len(s["labels"]) for s in manifest["subjects"])
+    print(f"wrote {len(manifest['subjects'])} subjects, {n_days} labeled days "
           f"to {args.out}")
     return 0
 

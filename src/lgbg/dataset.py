@@ -1,9 +1,11 @@
 """The one dataset type and its on-disk layout.
 
 A `Dataset` is made by `load_dataset` from a directory and by
-`synth.generate` from a scenario spec. A dataset directory holds
-`dataset.json` (the manifest), `vocab.json` and one JSON-lines event log per
-subject under `logs/`. The manifest lists subjects with their per-day labels
+`synth.generate` from a scenario spec, and in both cases each subject is a
+`SubjectRecord` built from its events by `SubjectRecord.from_events`. A
+dataset directory holds `dataset.json` (the manifest), `vocab.json` and one
+JSON-lines event log per subject under `logs/`; `write_dataset` writes one
+from subjects' events. The manifest lists subjects with their per-day labels
 (and grade when present) so training, evaluation and the grade task all read
 the same structure. The manifest is read through `lgbg.schema`: `subjects`
 must be a list of objects, each with an `id` and a `log` string, label days
@@ -11,26 +13,24 @@ must be decimal day indices, each day once per subject ("7" and "07" are the
 same day), and label classes integers, `gpa` must be a number and
 `day_origin` an integer.
 
-The model reads a subject only through its day graphs, so `load_dataset`
-keeps those and not the events: each log is parsed, cut into days and built
-into the graphs of days 0 through the subject's last labeled day, then
-dropped, with its ingest counters kept. `samples(span, table)` assembles
-samples of any span from the stored graphs, and every call shares them. A
-generated dataset keeps its events, which `write_dataset` writes, and
-`samples` builds its day graphs from them with the same `build_days`.
+The model reads a subject only through its day graphs, so a record keeps
+those and not the events: `load_dataset` parses each log, builds its day
+graphs and drops it, with its ingest counters kept. `samples(span, table)`
+assembles samples of any span from the stored graphs, and every call shares
+them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
 from .graphs import GlobalSample, LocalContextGraph, build_days, span_samples
 from .schema import read_json, require, write_text
-from .streams import (ConceptEvent, Vocabulary, before_origin, parse_event_log,
-                      write_event_log)
+from .streams import (ConceptEvent, Vocabulary, before_origin, day_span,
+                      parse_event_log, write_event_log)
 
 MANIFEST = "dataset.json"
 VOCAB_FILE = "vocab.json"
@@ -38,36 +38,34 @@ VOCAB_FILE = "vocab.json"
 
 @dataclass
 class SubjectRecord:
-    """One subject's labels and grade, with either its events (`streams`,
-    when generated) or its day graphs (`days`, when loaded), never both.
-
-    `days` holds the graphs of days 0 through the last labeled day. The
-    counters are those of the subject's event log, and stay 0 when generated.
-    """
+    """One subject's labels, grade and day graphs, with its event log's
+    ingest counters (0 for generated events)."""
 
     subject: str
-    streams: dict[str, list[ConceptEvent]] | None
-    labels: dict[int, int] = field(default_factory=dict)
-    gpa: float | None = None
-    days: list[LocalContextGraph] | None = None
+    labels: dict[int, int]
+    gpa: float | None
+    days: list[LocalContextGraph]
     remapped_locations: int = 0
     deduplicated: int = 0
     before_origin: int = 0
 
-    def day_graphs(self, vocab: Vocabulary, day_origin: int) -> list[LocalContextGraph]:
-        """The stored day graphs, or those that `build_days` makes of the events."""
-        if self.streams is None:
-            return self.days
-        return build_days(self.streams, max(self.labels, default=-1) + 1, vocab,
-                          day_origin)
+    @classmethod
+    def from_events(cls, subject: str, streams: dict[str, list[ConceptEvent]],
+                    labels: dict[int, int], gpa: float | None, vocab: Vocabulary,
+                    day_origin: int = 0, remapped_locations: int = 0,
+                    deduplicated: int = 0) -> "SubjectRecord":
+        """The record of `streams`: the graphs of days 0 through its last day
+        with an event or a label, cut at `day_origin`."""
+        days = max(day_span(streams, day_origin), max(labels, default=-1) + 1)
+        return cls(subject, labels, gpa, build_days(streams, days, vocab, day_origin),
+                   remapped_locations, deduplicated, before_origin(streams, day_origin))
 
 
 @dataclass
 class Dataset:
     vocab: Vocabulary
     subjects: list[SubjectRecord]
-    day_origin: int = 0
-    scenario: dict | None = None  # the generating spec's dict; None when loaded
+    day_origin: int = 0  # the origin every record's days are cut at
 
     def samples(self, span: int, table) -> list[GlobalSample]:
         """Every subject's samples of `span` days; `table` must have the rows
@@ -75,36 +73,36 @@ class Dataset:
         table.check_rows(self.vocab)
         out = []
         for rec in self.subjects:
-            out.extend(span_samples(rec.day_graphs(self.vocab, self.day_origin),
-                                    rec.labels, span, rec.subject))
+            out.extend(span_samples(rec.days, rec.labels, span, rec.subject))
         return out
 
 
-def write_dataset(dataset: Dataset, out_dir) -> Path:
+def write_dataset(out_dir, vocab: Vocabulary, subjects, day_origin: int = 0,
+                  scenario: dict | None = None) -> dict:
+    """Write a dataset directory and return its manifest. `subjects` yields
+    `(id, streams, labels, gpa)` per subject, and each log is written as it
+    comes; `scenario` is the generating spec's dict, echoed in the manifest."""
     out = Path(out_dir)
     (out / "logs").mkdir(parents=True, exist_ok=True)
-    dataset.vocab.save(out / VOCAB_FILE)
-    subjects = []
-    for rec in dataset.subjects:
-        if rec.streams is None:
-            raise ValidationError(f"subject {rec.subject!r} holds day graphs, "
-                                  f"not the events a dataset directory stores")
-        log_rel = f"logs/{rec.subject}.jsonl"
-        write_event_log(out / log_rel, rec.streams)
-        entry = {"id": rec.subject, "log": log_rel,
-                 "labels": {str(d): c for d, c in sorted(rec.labels.items())}}
-        if rec.gpa is not None:
-            entry["gpa"] = rec.gpa
-        subjects.append(entry)
-    manifest = {"format": 1, "day_origin": dataset.day_origin,
-                "scenario": dataset.scenario, "subjects": subjects}
+    vocab.save(out / VOCAB_FILE)
+    entries = []
+    for subject, streams, labels, gpa in subjects:
+        log_rel = f"logs/{subject}.jsonl"
+        write_event_log(out / log_rel, streams)
+        entry = {"id": subject, "log": log_rel,
+                 "labels": {str(d): c for d, c in sorted(labels.items())}}
+        if gpa is not None:
+            entry["gpa"] = gpa
+        entries.append(entry)
+    manifest = {"format": 1, "day_origin": day_origin, "scenario": scenario,
+                "subjects": entries}
     write_text(out / MANIFEST, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return out
+    return manifest
 
 
 def load_dataset(path) -> Dataset:
-    """The dataset at `path`. Each subject's log is parsed, cut into days and
-    built into day graphs in turn, and its events are then dropped."""
+    """The dataset at `path`. Each subject's log is parsed and built into day
+    graphs in turn, and its events are then dropped."""
     root = Path(path)
     manifest = read_json(root / MANIFEST, "dataset manifest", 1)
     vocab = Vocabulary.load(root / VOCAB_FILE)
@@ -124,12 +122,7 @@ def load_dataset(path) -> Dataset:
                 raise ValidationError(f"subject {subject!r} labels day {int(day)} twice")
             labeled[int(day)] = cls
         parsed = parse_event_log(root / require(entry, "log", str), vocab)
-        subjects.append(SubjectRecord(
-            subject=subject, streams=None, labels=labeled,
-            gpa=require(entry, "gpa", float, None),
-            days=build_days(parsed.streams, max(labeled, default=-1) + 1, vocab,
-                            day_origin),
-            remapped_locations=parsed.remapped_locations,
-            deduplicated=parsed.deduplicated,
-            before_origin=before_origin(parsed.streams, day_origin)))
+        subjects.append(SubjectRecord.from_events(
+            subject, parsed.streams, labeled, require(entry, "gpa", float, None), vocab,
+            day_origin, parsed.remapped_locations, parsed.deduplicated))
     return Dataset(vocab=vocab, subjects=subjects, day_origin=day_origin)

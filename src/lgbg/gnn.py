@@ -147,7 +147,7 @@ def initial_states(arrays: GraphArrays | GraphBatch, table: EmbeddingTable) -> T
     Embeddings and attributes are fixed inputs, so the result is a constant
     with respect to every trainable tensor. Rows are gathered by the graphs'
     `embedding_index`, the rows of `Vocabulary.embedding_rows`; `Dataset.samples`
-    and `build_samples` check that `table` keeps them (`EmbeddingTable.check_rows`).
+    and `grade_regression` check that `table` keeps them (`EmbeddingTable.check_rows`).
     """
     return ag.constant(table.vectors[arrays.embedding_index] * arrays.day_fraction)
 

@@ -6,6 +6,10 @@ are directed transitions between consecutive distinct concepts, weighted by
 transition count. Cross-stream ("heterogeneous") edges link concepts whose
 occurrences overlap in time, weighted by the number of overlapping pairs and
 stored as two directed edges of equal weight.
+
+`build_days` builds a subject's day graphs once, and `span_samples` cuts
+them into labeled samples of consecutive days, so a day graph is shared by
+every sample, and every task, that reads it.
 """
 
 from __future__ import annotations
@@ -221,23 +225,13 @@ def build_days(streams: dict[str, list[ConceptEvent]], days: int, vocab: Vocabul
 def span_samples(days: list[LocalContextGraph], labels: dict[int, int], span: int,
                  subject: str = "") -> list[GlobalSample]:
     """One sample per labeled day that has a full span of prior days, over a
-    subject's day graphs from day 0 through its last labeled day; a day graph
-    is shared by every sample that contains it."""
+    subject's day graphs from day 0 through at least its last labeled day; a
+    day graph is shared by every sample that contains it."""
     if span < 1:
         raise ValidationError(f"span {span} must be >= 1")
     return [GlobalSample(graphs=days[a - span + 1:a + 1], label=labels[a],
                          subject=subject, anchor_day=a)
             for a in sorted(labels) if a >= span - 1]
-
-
-def build_samples(streams: dict[str, list[ConceptEvent]], labels: dict[int, int],
-                  span: int, vocab: Vocabulary, table, subject: str = "",
-                  day_origin: int = 0) -> list[GlobalSample]:
-    """`span_samples` over the day graphs of `streams`, after checking that
-    `table` has the rows the graphs gather (`EmbeddingTable.check_rows`)."""
-    table.check_rows(vocab)
-    days = build_days(streams, max(labels, default=-1) + 1, vocab, day_origin)
-    return span_samples(days, labels, span, subject)
 
 
 def quantize_pam(score: int) -> int:

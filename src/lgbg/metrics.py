@@ -113,7 +113,7 @@ def grade_report(y_true, y_pred) -> GradeReport:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(np.sum((y - p) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    degenerate = p.std() == 0 or y.std() == 0
+    degenerate = bool(p.std() == 0 or y.std() == 0)
     if degenerate:
         pearson = 0.0
     else:

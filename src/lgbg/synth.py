@@ -17,15 +17,18 @@ implemented by `oracle_label` in `tests/reference.py`:
   from which cross-stream pairs overlap.
 * combined: all three signals agree; the node statistic suffices.
 
-`generate` returns a `lgbg.dataset.Dataset`. Everything is a pure function
-of the scenario seed, so rerunning the generator reproduces byte-identical
-logs. Scenario spec files are read through `lgbg.schema`: `format` must be
-1, `mechanism` is required, and every other key must name a `ScenarioSpec`
-field and have its type.
+`subject_events` yields each subject's events, labels and grade once;
+`generate` builds them into a `lgbg.dataset.Dataset`, and `lgbg synth`
+writes them to a dataset directory without building a graph. Everything is
+a pure function of the scenario seed, so rerunning the generator reproduces
+byte-identical logs. Scenario spec files are read through `lgbg.schema`:
+`format` must be 1, `mechanism` is required, and every other key must name
+a `ScenarioSpec` field and have its type.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,7 +52,7 @@ CYCLES = (
     ("dorm", "cafe", "library", "gym"),
     ("dorm", "library", "cafe", "gym"),
 )
-SCENARIO_LOCATIONS = ("cafe", "classroom", "dorm", "gym", "library")
+VOCAB = Vocabulary(locations=("cafe", "classroom", "dorm", "gym", "library"))
 
 _H = 3600
 _MARGIN = 300
@@ -170,11 +173,11 @@ _DAY_BUILDERS = {"node": _node_day, "transition": _transition_day,
                  "cooccurrence": _cooccurrence_slots, "combined": _combined_day}
 
 
-def generate(spec: ScenarioSpec) -> Dataset:
-    """Build every subject's streams, day labels and (optionally) a grade."""
+def subject_events(spec: ScenarioSpec) -> Iterator[
+        tuple[str, dict[str, list[ConceptEvent]], dict[int, int], float | None]]:
+    """Each subject's id, streams, day labels and grade (None without
+    `spec.gpa`), in id order."""
     build = _DAY_BUILDERS[spec.mechanism]
-    dataset = Dataset(vocab=Vocabulary(locations=SCENARIO_LOCATIONS), subjects=[],
-                      scenario=spec.to_dict())
     for idx in range(spec.subjects):
         rng = np.random.default_rng([spec.seed, idx])
         trait = float(rng.uniform(0.05, 0.95))
@@ -198,6 +201,10 @@ def generate(spec: ScenarioSpec) -> Dataset:
             mean_cls = float(np.mean(classes))
             gpa = float(np.clip(0.4 + 3.4 * mean_cls / 3.0
                                 + rng.normal(0.0, spec.gpa_noise), 0.0, 4.0))
-        dataset.subjects.append(SubjectRecord(subject=f"s{idx:03d}", streams=streams,
-                                              labels=labels, gpa=gpa))
-    return dataset
+        yield f"s{idx:03d}", streams, labels, gpa
+
+
+def generate(spec: ScenarioSpec) -> Dataset:
+    """The dataset of `spec`: every subject's day graphs, labels and grade."""
+    return Dataset(vocab=VOCAB, subjects=[SubjectRecord.from_events(*subject, VOCAB)
+                                          for subject in subject_events(spec)])

@@ -12,14 +12,15 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Adam, Tape, Tensor
 from .config import TrainConfig
+from .dataset import Dataset
 from .embeddings import EmbeddingTable
 from .errors import NumericError, ValidationError
-from .graphs import GlobalSample, build_samples
+from .graphs import GlobalSample, span_samples
 from .metrics import (EvalReport, GradeReport, average_reports,
                       classification_report, grade_report, knn_regress_loo)
 from .model import Model, SampleOutput
 from .schema import write_text
-from .streams import FEATURE_DIM, Vocabulary, day_span
+from .streams import FEATURE_DIM
 
 PROB_FLOOR = 1e-12
 
@@ -236,45 +237,48 @@ class GradeResult:
     graph: GradeReport
     handcrafted: GradeReport
     subjects: list[str]
+    skipped: dict[str, str]  # subject -> why it is left out
 
 
-def grade_regression(model: Model, cohort: list[tuple[str, dict, float]],
-                     vocab: Vocabulary, config: TrainConfig) -> GradeResult:
+def grade_regression(model: Model, dataset: Dataset, config: TrainConfig) -> GradeResult:
     """Leave-one-out KNN grade prediction from frozen graph representations,
     against the per-day duration-vector baseline summed over the term.
 
+    A subject's days run from day 0 through its last day with an event, and
+    its representation is the mean over the spans that end on each of them.
     The baseline adds each node's hours, day by day, into the concept's slot
     of the 108-entry layout (`Vocabulary.feature_index`), reading the same
-    day graphs the representations are computed from. `cohort` holds
-    `(subject, streams, gpa)` triples of events, as a generated dataset's
-    records do; a loaded dataset holds day graphs, not events."""
-    usable = []
-    for subject, streams, gpa in cohort:
-        n_days = day_span(streams, config.day_origin)
-        if n_days < config.span:
-            continue
-        usable.append((subject, streams, gpa, n_days))
+    day graphs. A subject without a grade, or with fewer than `config.span`
+    days, is left out and listed in `skipped` with the reason."""
+    model.table.check_rows(dataset.vocab)
+    usable, skipped = [], {}
+    for rec in dataset.subjects:
+        n_days = max((g.day_index + 1 for g in rec.days if not g.is_empty()), default=0)
+        if rec.gpa is None:
+            skipped[rec.subject] = "no grade"
+        elif n_days < config.span:
+            skipped[rec.subject] = f"{n_days} days, fewer than span {config.span}"
+        else:
+            usable.append((rec, n_days))
     if len(usable) < 2:
-        raise ValidationError("need at least 2 subjects with a full span of days")
+        raise ValidationError("need at least 2 subjects with a grade and a full span "
+                              "of days")
 
-    graph_feats, hand_feats, gpas, names = [], [], [], []
-    for subject, streams, gpa, n_days in usable:
+    graph_feats, hand_feats = [], []
+    for rec, n_days in usable:
         anchors = {d: 0 for d in range(config.span - 1, n_days)}
-        samples = build_samples(streams, anchors, config.span, vocab, model.table,
-                                subject=subject, day_origin=config.day_origin)
+        samples = span_samples(rec.days, anchors, config.span, rec.subject)
         reps = np.stack([out.g_star for out in model.forward_all(samples)])
         graph_feats.append(reps.mean(axis=0))
-        days = {g.day_index: g for s in samples for g in s.graphs}
         hand = np.zeros(FEATURE_DIM)
-        for day in sorted(days):
-            for node in days[day].nodes:
-                hand[vocab.feature_index(node.stream, node.concept)] += node.attribute
+        for day in rec.days[:n_days]:
+            for node in day.nodes:
+                hand[dataset.vocab.feature_index(node.stream, node.concept)] += node.attribute
         hand_feats.append(hand)
-        gpas.append(gpa)
-        names.append(subject)
 
-    gpas = np.array(gpas)
+    gpas = np.array([rec.gpa for rec, _ in usable])
     ours = knn_regress_loo(np.stack(graph_feats), gpas, k=config.knn_k)
     base = knn_regress_loo(np.stack(hand_feats), gpas, k=config.knn_k)
     return GradeResult(graph=grade_report(gpas, ours),
-                       handcrafted=grade_report(gpas, base), subjects=names)
+                       handcrafted=grade_report(gpas, base),
+                       subjects=[rec.subject for rec, _ in usable], skipped=skipped)

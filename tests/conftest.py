@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from lgbg.config import TrainConfig
+from lgbg.dataset import Dataset, SubjectRecord
 from lgbg.embeddings import EmbeddingTable
 from lgbg.streams import ConceptEvent, DayWindow, Vocabulary, day_windows
 
@@ -48,3 +49,10 @@ def random_events(rng: np.random.Generator, stream: str, concepts, n: int,
         end = int(start + rng.integers(1, max_len))
         events.append(ev(stream, str(rng.choice(concepts)), start, min(end, horizon - 1)))
     return events
+
+
+def events_dataset(vocab: Vocabulary, subjects, day_origin: int = 0) -> Dataset:
+    """The dataset of `(id, streams, labels, gpa)` subjects, as `synth.generate`
+    makes it from `synth.subject_events`, with days cut at `day_origin`."""
+    return Dataset(vocab, [SubjectRecord.from_events(*s, vocab, day_origin)
+                           for s in subjects], day_origin)

@@ -19,8 +19,8 @@ from lgbg.cli import main
 from lgbg.config import TrainConfig
 from lgbg.embeddings import EmbeddingTable
 from lgbg.gnn import local_graph_forward, GnnParams
-from lgbg.graphs import (GraphEdge, LocalContextGraph, build_samples,
-                         heterogeneous_edges, homogeneous_edges, quantize_pam)
+from lgbg.graphs import (GraphEdge, LocalContextGraph, heterogeneous_edges,
+                         homogeneous_edges, quantize_pam)
 from lgbg.metrics import report_from_confusion
 from lgbg.model import Model
 from lgbg.streams import AUDIO, LOCATION
@@ -38,14 +38,6 @@ def _criterion(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
-def _samples_for(dataset, config, table):
-    samples = []
-    for rec in dataset.subjects:
-        samples += build_samples(rec.streams, rec.labels, config.span,
-                                 dataset.vocab, table, subject=rec.subject)
-    return samples
-
-
 def test_criterion_1_reference_numbers_are_documentation_only():
     # No redistributable cohort exists at desk scale; the remaining criteria
     # substitute property-based gates for absolute-number reproduction.
@@ -58,7 +50,7 @@ def test_criterion_2_end_to_end_gradient_oracle():
     config = TrainConfig(d=8, de=6, dp=10, layers=2, span=3, seed=3)
     dataset = generate(ScenarioSpec(mechanism="combined", subjects=2, days=4, seed=3))
     table = EmbeddingTable.fallback(dataset.vocab, config.d, config.seed)
-    samples = _samples_for(dataset, config, table)[:2]
+    samples = dataset.samples(config.span, table)[:2]
     assert len(samples) == 2 and all(len(s.graphs) == 3 for s in samples)
     model = Model(config, table, dataset.vocab.digest())
     labels = [s.label for s in samples]
@@ -101,7 +93,7 @@ def test_criterion_4_synthetic_learnability():
     dataset = generate(ScenarioSpec(mechanism="combined", subjects=40, days=30,
                                     seed=7))
     table = EmbeddingTable.fallback(dataset.vocab, config.d, config.seed)
-    samples = _samples_for(dataset, config, table)
+    samples = dataset.samples(config.span, table)
     result = run_protocol(samples, config, table, dataset.vocab.digest())
     elapsed = time.time() - started
     acc, f1 = result.average.accuracy, result.average.f1
@@ -114,7 +106,7 @@ def _holdout_accuracy(mechanism: str, config: TrainConfig) -> float:
     dataset = generate(ScenarioSpec(mechanism=mechanism, subjects=12, days=20,
                                     seed=config.seed))
     table = EmbeddingTable.fallback(dataset.vocab, config.d, config.seed)
-    samples = _samples_for(dataset, config, table)
+    samples = dataset.samples(config.span, table)
     train_idx, test_idx = split_protocol(len(samples), 5, config.seed)[0]
     fit = train([samples[i] for i in train_idx], config, table)
     return evaluate(fit.model, [samples[i] for i in test_idx]).accuracy
@@ -152,7 +144,7 @@ def test_criterion_6_invariant_suite(vocab, small_table, small_config):
 
     dataset = generate(ScenarioSpec(mechanism="combined", subjects=1, days=3, seed=2))
     table = EmbeddingTable.fallback(dataset.vocab, small_config.d, small_config.seed)
-    sample = _samples_for(dataset, small_config, table)[0]
+    sample = dataset.samples(small_config.span, table)[0]
     out = Model(small_config, table, dataset.vocab.digest()).forward(sample)
     ok &= np.all(np.abs(out.day_attention.sum(axis=1) - 1.0) <= 1e-12)
     notes.append("day attention rows valid")
@@ -246,10 +238,9 @@ def test_criterion_9_grade_application():
     dataset = generate(ScenarioSpec(mechanism="cooccurrence", subjects=16,
                                     days=12, seed=13, gpa=True))
     table = EmbeddingTable.fallback(dataset.vocab, config.d, config.seed)
-    samples = _samples_for(dataset, config, table)
+    samples = dataset.samples(config.span, table)
     fit = train(samples, config, table, dataset.vocab.digest())
-    cohort = [(r.subject, r.streams, r.gpa) for r in dataset.subjects]
-    grades = grade_regression(fit.model, cohort, dataset.vocab, config)
+    grades = grade_regression(fit.model, dataset, config)
     g, h = grades.graph, grades.handcrafted
     _criterion(9, g.mae < h.mae and g.pearson > h.pearson,
                f"graph reps MAE {g.mae:.3f} / Pearson {g.pearson:.3f} vs "

@@ -20,7 +20,7 @@ from lgbg.dataset import load_dataset, write_dataset
 from lgbg.embeddings import EmbeddingTable
 from lgbg.model import Model
 from lgbg.streams import MAX_DAYS, Vocabulary
-from lgbg.synth import MAX_SUBJECTS, ScenarioSpec, generate
+from lgbg.synth import MAX_SUBJECTS, VOCAB, ScenarioSpec, subject_events
 
 DATA = Path(__file__).parent / "data"
 
@@ -227,7 +227,7 @@ def test_synth_rejects_bad_mechanism(tmp_path, capsys):
                                   {"subjects": 1000, "days": 36525}])
 def test_synth_rejects_oversized_spec_before_generating(tmp_path, capsys, monkeypatch,
                                                         size):
-    monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generation started"))
+    monkeypatch.setattr(cli, "subject_events", lambda spec: pytest.fail("generation started"))
     spec = write_spec(tmp_path / "spec.json", **size)
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -488,9 +488,9 @@ def test_inspect_attention_round_trip(synth_dir, tmp_path):
 
 
 def test_inspect_single_day_span_identity(tmp_path):
-    dataset = generate(ScenarioSpec(mechanism="node", subjects=1, days=3, seed=4))
     data_dir = tmp_path / "d"
-    write_dataset(dataset, data_dir)
+    write_dataset(data_dir, VOCAB, subject_events(ScenarioSpec(mechanism="node", subjects=1,
+                                                               days=3, seed=4)))
     run = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out", str(run),
                  "--span", "1"] + FAST) == 0

@@ -1,7 +1,7 @@
-"""A loaded dataset holds day graphs, not events: it must give the samples
-its generating dataset gives, keep its logs' ingest counters, refuse an
-embedding table whose rows its graphs would misread, and stay smaller than
-its parsed events."""
+"""A dataset holds day graphs, not events: a loaded one must give the
+samples and grades its generating dataset gives, keep its logs' ingest
+counters, refuse an embedding table whose rows its graphs would misread,
+and stay smaller than its parsed events."""
 
 import json
 import tracemalloc
@@ -9,14 +9,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lgbg import training
 from lgbg.cli import main
 from lgbg.config import TrainConfig
 from lgbg.dataset import load_dataset, write_dataset
 from lgbg.embeddings import EmbeddingTable
-from lgbg.errors import EmbeddingError, ValidationError
+from lgbg.errors import EmbeddingError
+from lgbg.metrics import knn_regress_loo
 from lgbg.model import Model
 from lgbg.streams import parse_event_log
-from lgbg.synth import ScenarioSpec, generate
+from lgbg.synth import VOCAB, ScenarioSpec, subject_events
+from lgbg.training import grade_regression
+
+from conftest import events_dataset
 
 ORIGIN = 3 * 3600
 
@@ -24,11 +29,10 @@ ORIGIN = 3 * 3600
 @pytest.fixture
 def written(tmp_path):
     """A generated dataset with a day origin and grades, and its directory."""
-    dataset = generate(ScenarioSpec(mechanism="combined", subjects=3, days=7, seed=11,
-                                    label_density=0.7, gpa=True))
-    dataset.day_origin = ORIGIN
-    write_dataset(dataset, tmp_path / "data")
-    return dataset, tmp_path / "data"
+    spec = ScenarioSpec(mechanism="combined", subjects=3, days=7, seed=11,
+                        label_density=0.7, gpa=True)
+    write_dataset(tmp_path / "data", VOCAB, subject_events(spec), ORIGIN)
+    return events_dataset(VOCAB, subject_events(spec), ORIGIN), tmp_path / "data"
 
 
 def _key(sample):
@@ -38,7 +42,6 @@ def _key(sample):
 def test_loaded_samples_equal_generated_samples(written, small_config):
     dataset, root = written
     loaded = load_dataset(root)
-    assert all(rec.streams is None for rec in loaded.subjects)
     table = EmbeddingTable.fallback(dataset.vocab, small_config.d, small_config.seed)
     for span in (1, 3, 5):
         want = dataset.samples(span, table)
@@ -63,17 +66,10 @@ def test_samples_of_two_spans_share_the_stored_graphs(written, small_table):
             assert days.get((s.subject, g.day_index), g) is g
 
 
-def test_loaded_dataset_cannot_be_written(written, tmp_path):
-    _, root = written
-    with pytest.raises(ValidationError, match="holds day graphs"):
-        write_dataset(load_dataset(root), tmp_path / "copy")
-
-
 def test_ingest_counters_equal_build_graph_counters(tmp_path):
-    dataset = generate(ScenarioSpec(mechanism="node", subjects=1, days=3, seed=2))
-    dataset.day_origin = ORIGIN
     root = tmp_path / "data"
-    write_dataset(dataset, root)
+    write_dataset(root, VOCAB, subject_events(ScenarioSpec(mechanism="node", subjects=1,
+                                                           days=3, seed=2)), ORIGIN)
     log = root / "logs" / "s000.jsonl"
     lines = log.read_text().splitlines()
     lines += [lines[1], lines[2], lines[1],
@@ -132,8 +128,8 @@ def test_load_peak_stays_below_the_parsed_events(tmp_path):
     """The dataset keeps day graphs and drops each subject's events once they
     are built, so loading never holds every subject's parsed log at once."""
     root = tmp_path / "data"
-    write_dataset(generate(ScenarioSpec(mechanism="combined", subjects=16, days=4,
-                                        seed=4)), root)
+    write_dataset(root, VOCAB, subject_events(ScenarioSpec(mechanism="combined",
+                                                           subjects=16, days=4, seed=4)))
     vocab = load_dataset(root).vocab
     tracemalloc.start()
     try:
@@ -148,3 +144,35 @@ def test_load_peak_stays_below_the_parsed_events(tmp_path):
         tracemalloc.stop()
     assert len(data.subjects) == 16
     assert peak < held, (peak, held)
+
+
+def test_grade_of_loaded_dataset_equals_grade_of_generated(tmp_path, monkeypatch):
+    """Grade reads day graphs, so a dataset read back from disk grades as the
+    generated one does, to the bit. s000's labels run past its log's last
+    day, and s001's log runs past its last label."""
+    features = []
+
+    def knn(feats, gpas, k):
+        features.append(feats)
+        return knn_regress_loo(feats, gpas, k=k)
+    monkeypatch.setattr(training, "knn_regress_loo", knn)
+    cohort = list(subject_events(ScenarioSpec(mechanism="transition", subjects=6, days=6,
+                                              seed=9, gpa=True)))
+    subject, streams, labels, gpa = cohort[0]
+    cohort[0] = (subject, streams, labels | {7: 1, 9: 2}, gpa)
+    subject, streams, labels, gpa = cohort[1]
+    cohort[1] = (subject, streams, {d: c for d, c in labels.items() if d < 3}, gpa)
+    write_dataset(tmp_path, VOCAB, cohort, ORIGIN)
+    loaded = load_dataset(tmp_path)
+    assert [len(rec.days) for rec in loaded.subjects[:2]] == [10, 6]
+    config = TrainConfig(d=8, de=6, dp=10, layers=2, span=3, seed=9)
+    model = Model(config, EmbeddingTable.fallback(VOCAB, config.d, config.seed),
+                  VOCAB.digest())
+    want = grade_regression(model, events_dataset(VOCAB, cohort, ORIGIN), config)
+    got = grade_regression(model, loaded, config)
+    assert len(features) == 4
+    for generated, read_back in zip(features[:2], features[2:]):
+        assert np.array_equal(generated, read_back)
+    assert got.graph.predictions == want.graph.predictions
+    assert got.handcrafted.predictions == want.handcrafted.predictions
+    assert got == want and not got.skipped

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from lgbg.errors import ValidationError
 from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GraphEdge, GraphNode,
-                         LocalContextGraph, build_local_graph, build_samples,
+                         LocalContextGraph, build_local_graph,
                          heterogeneous_edges, homogeneous_edges, quantize_pam)
 from lgbg.streams import ACTIVITY, AUDIO, LOCATION
 
-from conftest import ev, one_day, random_events
+from conftest import ev, events_dataset, one_day, random_events
 from reference import graph_dict
 
 
@@ -195,11 +195,16 @@ def test_every_het_edge_backed_by_an_overlap(vocab):
 # samples
 
 
+def samples_of(streams, labels, span, vocab, table, subject=""):
+    """The samples of one subject's events, through the dataset path."""
+    return events_dataset(vocab, [(subject, streams, labels, None)]).samples(span, table)
+
+
 def test_build_samples_counts(vocab, small_table):
     streams = {AUDIO: [ev(AUDIO, "voice", d * 86400, d * 86400 + 60)
                        for d in range(5)]}
     labels = {d: d % 4 for d in range(5)}
-    samples = build_samples(streams, labels, 3, vocab, small_table, subject="s")
+    samples = samples_of(streams, labels, 3, vocab, small_table, subject="s")
     assert len(samples) == 3
     assert [s.anchor_day for s in samples] == [2, 3, 4]
     assert all(len(s.graphs) == 3 for s in samples)
@@ -208,7 +213,7 @@ def test_build_samples_counts(vocab, small_table):
 def test_build_samples_span_one(vocab, small_table):
     streams = {AUDIO: [ev(AUDIO, "voice", 0, 60)]}
     labels = {0: 1, 1: 2}
-    samples = build_samples(streams, labels, 1, vocab, small_table)
+    samples = samples_of(streams, labels, 1, vocab, small_table)
     assert len(samples) == 2
 
 
@@ -222,7 +227,7 @@ def test_build_samples_sparse_labels_match_window_oracle(vocab, small_table):
     span = 3
     # independent sliding-window count
     expected = sum(1 for a in range(days - span + 1) if (a + span - 1) in labels)
-    samples = build_samples(streams, labels, span, vocab, small_table)
+    samples = samples_of(streams, labels, span, vocab, small_table)
     assert len(samples) == expected
     assert all(s.label == labels[s.anchor_day] for s in samples)
 
@@ -230,7 +235,7 @@ def test_build_samples_sparse_labels_match_window_oracle(vocab, small_table):
 def test_sample_label_comes_from_anchor_day(vocab, small_table):
     streams = {AUDIO: [ev(AUDIO, "voice", d * 86400, d * 86400 + 60)
                        for d in range(3)]}
-    samples = build_samples(streams, {2: 3}, 3, vocab, small_table)
+    samples = samples_of(streams, {2: 3}, 3, vocab, small_table)
     assert samples[0].label == 3
     assert samples[0].anchor_day == 2
 

@@ -8,10 +8,10 @@ from lgbg.embeddings import EmbeddingTable
 from lgbg.config import TrainConfig
 from lgbg.errors import ValidationError
 from lgbg.streams import parse_event_log, write_event_log
-from lgbg.synth import MECHANISMS, ScenarioSpec, generate
+from lgbg.synth import MECHANISMS, VOCAB, ScenarioSpec, generate, subject_events
 from lgbg.training import run_protocol
 
-from conftest import one_day
+from conftest import events_dataset, one_day
 from reference import behavior_feature, oracle_label
 
 
@@ -22,42 +22,39 @@ def test_rejects_unknown_mechanism():
 
 def test_behavior_features_pairwise_distinct_across_classes():
     spec = ScenarioSpec(mechanism="combined", subjects=1, days=16, seed=2)
-    dataset = generate(spec)
-    rec = dataset.subjects[0]
+    ((_, streams, labels, _),) = subject_events(spec)
     by_class = {}
-    for day, cls in rec.labels.items():     # zero noise: each label is the planted class
+    for day, cls in labels.items():     # zero noise: each label is the planted class
         by_class.setdefault(cls, day)
     assert set(by_class) == {0, 1, 2, 3}
-    feats = [behavior_feature(one_day(rec.streams, by_class[c]), dataset.vocab)
-             for c in range(4)]
+    feats = [behavior_feature(one_day(streams, by_class[c]), VOCAB) for c in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
             assert np.linalg.norm(feats[i] - feats[j]) > 0.5
 
 
 def test_same_seed_byte_identical_logs(tmp_path):
-    for i, out in enumerate(("a", "b")):
-        dataset = generate(ScenarioSpec(mechanism="node", subjects=2, days=4, seed=42))
-        write_dataset(dataset, tmp_path / out)
+    for out in ("a", "b"):
+        spec = ScenarioSpec(mechanism="node", subjects=2, days=4, seed=42)
+        write_dataset(tmp_path / out, VOCAB, subject_events(spec), scenario=spec.to_dict())
     for name in ("dataset.json", "vocab.json", "logs/s000.jsonl", "logs/s001.jsonl"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_generated_logs_pass_parse_validation(tmp_path):
     for mechanism in MECHANISMS:
-        dataset = generate(ScenarioSpec(mechanism=mechanism, subjects=1, days=3, seed=3))
-        rec = dataset.subjects[0]
-        write_event_log(tmp_path / "log.jsonl", rec.streams)
-        parsed = parse_event_log(tmp_path / "log.jsonl", dataset.vocab)
-        assert parsed.streams == rec.streams
+        spec = ScenarioSpec(mechanism=mechanism, subjects=1, days=3, seed=3)
+        ((_, streams, _, _),) = subject_events(spec)
+        write_event_log(tmp_path / "log.jsonl", streams)
+        parsed = parse_event_log(tmp_path / "log.jsonl", VOCAB)
+        assert parsed.streams == streams
         assert parsed.remapped_locations == 0
 
 
 def test_dataset_roundtrip(tmp_path):
     spec = ScenarioSpec(mechanism="cooccurrence", subjects=2, days=4, seed=5, gpa=True)
-    dataset = generate(spec)
-    dataset.day_origin = 86400
-    write_dataset(dataset, tmp_path)
+    dataset = events_dataset(VOCAB, subject_events(spec), 86400)
+    write_dataset(tmp_path, VOCAB, subject_events(spec), 86400, spec.to_dict())
     assert json.loads((tmp_path / "dataset.json").read_text())["scenario"] == spec.to_dict()
     loaded = load_dataset(tmp_path)
     assert loaded.day_origin == 86400
@@ -65,10 +62,8 @@ def test_dataset_roundtrip(tmp_path):
     for orig, back in zip(dataset.subjects, loaded.subjects):
         assert back.subject == orig.subject
         assert back.labels == orig.labels
-        assert back.gpa == pytest.approx(orig.gpa)
-        assert back.streams is None
-        want = orig.day_graphs(dataset.vocab, dataset.day_origin)
-        assert [g.dump_json() for g in back.days] == [g.dump_json() for g in want]
+        assert back.gpa == orig.gpa
+        assert [g.dump_json() for g in back.days] == [g.dump_json() for g in orig.days]
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
@@ -76,19 +71,17 @@ def test_oracle_recovers_every_zero_noise_day(mechanism):
     """At zero noise and full density every day is labeled with its planted
     class, and the oracle reads that class back from the day's events."""
     spec = ScenarioSpec(mechanism=mechanism, subjects=3, days=10, seed=11)
-    dataset = generate(spec)
-    for rec in dataset.subjects:
-        assert sorted(rec.labels) == list(range(spec.days))
-        for day, label in rec.labels.items():
-            window = one_day(rec.streams, day)
+    for _, streams, labels, _ in subject_events(spec):
+        assert sorted(labels) == list(range(spec.days))
+        for day, label in labels.items():
+            window = one_day(streams, day)
             assert oracle_label(window.streams, spec) == label
 
 
 def test_oracle_is_order_invariant():
     spec = ScenarioSpec(mechanism="transition", subjects=1, days=2, seed=13)
-    dataset = generate(spec)
-    rec = dataset.subjects[0]
-    window = one_day(rec.streams)
+    ((_, streams, _, _),) = subject_events(spec)
+    window = one_day(streams)
     label = oracle_label(window.streams, spec)
     shuffled = {s: list(reversed(v)) for s, v in window.streams.items()}
     assert oracle_label(shuffled, spec) == label

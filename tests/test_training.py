@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,11 @@ from lgbg.metrics import (average_reports, classification_report, grade_report,
                           knn_regress_loo)
 from lgbg.model import Model
 from lgbg.streams import LOCATION, SECONDS_PER_DAY, day_span, day_windows, sort_events
-from lgbg.synth import ScenarioSpec, generate
+from lgbg.synth import VOCAB, ScenarioSpec, generate, subject_events
 from lgbg.training import (cross_entropy, evaluate, grade_regression,
                            node_variance_loss, split_protocol, total_loss, train)
 
-from conftest import ev
+from conftest import ev, events_dataset
 from reference import behavior_feature
 
 
@@ -363,9 +366,8 @@ def test_knn_requires_two_subjects():
 def test_grade_regression_requires_two_usable_subjects():
     dataset, config, table, _ = tiny_dataset(subjects=1, days=4, seed=2, gpa=True)
     model = Model(config, table, "")
-    cohort = [(r.subject, r.streams, r.gpa) for r in dataset.subjects]
     with pytest.raises(ValidationError):
-        grade_regression(model, cohort, dataset.vocab, config)
+        grade_regression(model, dataset, config)
 
 
 def test_grade_baseline_is_the_event_side_feature_sum_bit_for_bit(monkeypatch):
@@ -379,26 +381,61 @@ def test_grade_baseline_is_the_event_side_feature_sum_bit_for_bit(monkeypatch):
         features.append(feats)
         return knn_regress_loo(feats, gpas, k=k)
     monkeypatch.setattr(training, "knn_regress_loo", knn)
-    dataset, config, table, _ = tiny_dataset(subjects=5, days=7, seed=8, gpa=True)
-    config = config.replace(day_origin=5000)
+    config = TrainConfig(d=8, de=6, dp=10, layers=2, span=3, seed=8, lr=3e-3)
+    table = EmbeddingTable.fallback(VOCAB, config.d, config.seed)
+    spec = ScenarioSpec(mechanism="combined", subjects=5, days=7, seed=8, gpa=True)
     cohort = []
-    for i, rec in enumerate(dataset.subjects):
-        streams = dict(rec.streams)
+    for i, (subject, streams, labels, gpa) in enumerate(subject_events(spec)):
         streams[LOCATION] = sort_events(streams[LOCATION] + [
             ev(LOCATION, "dorm", d * SECONDS_PER_DAY - 1800 - 7 * i,
                d * SECONDS_PER_DAY + 7200 + 13 * i) for d in range(1, 7)])
-        cohort.append((rec.subject, streams, rec.gpa))
-    result = grade_regression(Model(config, table, ""), cohort, dataset.vocab, config)
+        cohort.append((subject, streams, labels, gpa))
+    dataset = events_dataset(VOCAB, cohort, 5000)
+    result = grade_regression(Model(config, table, ""), dataset, config)
 
     ref = []
-    for _, streams, _ in cohort:
+    for _, streams, _, _ in cohort:
         hand = np.zeros(108)
-        for window in day_windows(streams, config.day_origin,
-                                  day_span(streams, config.day_origin)):
-            hand += behavior_feature(window, dataset.vocab)
+        for window in day_windows(streams, 5000, day_span(streams, 5000)):
+            hand += behavior_feature(window, VOCAB)
         ref.append(hand)
-    gpas = np.array([gpa for _, _, gpa in cohort])
+    gpas = np.array([gpa for _, _, _, gpa in cohort])
     want = grade_report(gpas, knn_regress_loo(np.stack(ref), gpas, k=config.knn_k))
     assert np.array_equal(features[1], np.stack(ref))
     assert result.handcrafted.predictions == want.predictions
-    assert result.subjects == [rec.subject for rec in dataset.subjects]
+    assert result.subjects == [subject for subject, _, _, _ in cohort]
+
+
+def test_grade_skips_subjects_without_a_grade_or_a_full_span():
+    """A subject without a grade, or whose events cover fewer days than a
+    span, is left out with its reason, and the others grade as they would
+    alone. s003's labels run to day 4, but its events stop after day 1."""
+    config = TrainConfig(d=8, de=6, dp=10, layers=2, span=3, seed=4)
+    table = EmbeddingTable.fallback(VOCAB, config.d, config.seed)
+    model = Model(config, table, VOCAB.digest())
+    cohort = list(subject_events(ScenarioSpec(mechanism="combined", subjects=5, days=5,
+                                              seed=4, gpa=True)))
+    subject, streams, labels, _ = cohort[1]
+    cohort[1] = (subject, streams, labels, None)
+    subject, streams, labels, gpa = cohort[3]
+    cohort[3] = (subject, {s: [e for e in evs if e.end <= 2 * SECONDS_PER_DAY]
+                           for s, evs in streams.items()}, labels, gpa)
+    result = grade_regression(model, events_dataset(VOCAB, cohort), config)
+    assert result.skipped == {"s001": "no grade", "s003": "2 days, fewer than span 3"}
+    assert result.subjects == ["s000", "s002", "s004"]
+    alone = grade_regression(model, events_dataset(VOCAB, cohort[0::2]), config)
+    assert (result.graph, result.handcrafted) == (alone.graph, alone.handcrafted)
+    assert alone.skipped == {}
+
+    ungraded = generate(ScenarioSpec(mechanism="combined", subjects=4, days=5))
+    with pytest.raises(ValidationError, match="need at least 2 subjects"):
+        grade_regression(model, ungraded, config)
+
+
+def test_grade_result_round_trips_through_json():
+    dataset, config, table, _ = tiny_dataset(subjects=4, days=5, seed=6, gpa=True)
+    result = grade_regression(Model(config, table, ""), dataset, config)
+    result.handcrafted = grade_report([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
+    assert result.handcrafted.degenerate is True and result.graph.degenerate is False
+    doc = asdict(result)
+    assert json.loads(json.dumps(doc)) == doc
