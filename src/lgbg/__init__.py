@@ -10,15 +10,15 @@ __version__ = "0.1.0"
 
 from .config import TrainConfig
 from .embeddings import EmbeddingTable
-from .graphs import GlobalSample, LocalContextGraph, build_local_graph, quantize_pam
+from .graphs import GlobalSample, LocalContextGraph, build_days, quantize_pam
 from .model import Model
-from .streams import ConceptEvent, Vocabulary, day_windows, parse_event_log
+from .streams import ConceptEvent, ParsedLog, Vocabulary, parse_event_log
 from .synth import ScenarioSpec, generate
 from .training import evaluate, grade_regression, run_protocol, train
 
 __all__ = [
     "ConceptEvent", "EmbeddingTable", "GlobalSample", "LocalContextGraph",
-    "Model", "ScenarioSpec", "TrainConfig", "Vocabulary", "build_local_graph",
-    "day_windows", "evaluate", "generate", "grade_regression", "parse_event_log",
-    "quantize_pam", "run_protocol", "train",
+    "Model", "ParsedLog", "ScenarioSpec", "TrainConfig", "Vocabulary", "build_days",
+    "evaluate", "generate", "grade_regression", "parse_event_log", "quantize_pam",
+    "run_protocol", "train",
 ]

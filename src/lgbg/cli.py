@@ -23,10 +23,10 @@ from .config import TrainConfig, config_from_dict, read_config, save_config
 from .dataset import load_dataset, write_dataset
 from .embeddings import EmbeddingTable
 from .errors import DimensionError, LgbgError, NumericError, ValidationError
-from .graphs import build_local_graph, dump_graph
+from .graphs import LocalContextGraph, build_days, dump_graph
 from .model import Model
 from .schema import write_text
-from .streams import Vocabulary, before_origin, day_span, day_windows, parse_event_log
+from .streams import Vocabulary, parse_event_log
 from .synth import VOCAB, ScenarioSpec, generate, subject_events
 from .training import evaluate, run_protocol, total_loss, train
 
@@ -122,11 +122,18 @@ def cmd_build_graph(args) -> int:
     # graphs.json is written last and marks a complete build, so a rebuild
     # first drops the marker of the build it overwrites.
     (out / "graphs.json").unlink(missing_ok=True)
-    days = day_span(parsed.streams, config.day_origin)
+    days = parsed.day_span(config.day_origin)
     if days == 0:
         print("warning: no events after the day origin; nothing to build", file=sys.stderr)
-    for d, window in enumerate(day_windows(parsed.streams, config.day_origin, days)):
-        dump_graph(build_local_graph(window, vocab), out / f"day_{d:05d}.json")
+    # Each day's text is written as soon as its graph is made.
+    graphs = build_days(parsed, vocab, days, config.day_origin)
+    graph = next(graphs, None)
+    for d in range(days):
+        if graph is not None and graph.day_index == d:
+            dump_graph(graph, out / f"day_{d:05d}.json")
+            graph = next(graphs, None)
+        else:
+            dump_graph(LocalContextGraph(d), out / f"day_{d:05d}.json")
     # Day files of an earlier, longer build are stale once this build's are
     # in; MAX_DAYS keeps every day index to five digits.
     for path in out.glob("day_" + "[0-9]" * 5 + ".json"):
@@ -137,7 +144,7 @@ def cmd_build_graph(args) -> int:
     index = {"format": 1, "days": days, "span": config.span, "samples": spans,
              "remapped_locations": parsed.remapped_locations,
              "deduplicated": parsed.deduplicated,
-             "before_origin": before_origin(parsed.streams, config.day_origin)}
+             "before_origin": parsed.before_origin(config.day_origin)}
     write_text(out / "graphs.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
     return 0
 

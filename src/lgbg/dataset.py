@@ -2,7 +2,7 @@
 
 A `Dataset` is made by `load_dataset` from a directory and by
 `synth.generate` from a scenario spec, and in both cases each subject is a
-`SubjectRecord` built from its events by `SubjectRecord.from_events`. A
+`SubjectRecord` built from its event columns by `SubjectRecord.from_log`. A
 dataset directory holds `dataset.json` (the manifest), `vocab.json` and one
 JSON-lines event log per subject under `logs/`; `write_dataset` writes one
 from subjects' events. The manifest lists subjects with their per-day labels
@@ -15,7 +15,9 @@ same day), and label classes integers, `gpa` must be a number and
 
 The model reads a subject only through its day graphs, so a record keeps
 those and not the events: `load_dataset` parses each log, builds its day
-graphs and drops it, with its ingest counters kept. `samples(span, table)`
+graphs and drops it, with its ingest counters kept. A subject's days without
+an event share one empty graph, so a stray late event costs no object per
+day between. `samples(span, table)`
 assembles samples of any span from the stored graphs, and every call shares
 them.
 """
@@ -29,8 +31,7 @@ from pathlib import Path
 from .errors import ParseError, ValidationError
 from .graphs import GlobalSample, LocalContextGraph, build_days, span_samples
 from .schema import read_json, require, write_text
-from .streams import (ConceptEvent, Vocabulary, before_origin, day_span,
-                      parse_event_log, write_event_log)
+from .streams import ParsedLog, Vocabulary, parse_event_log, write_event_log
 
 MANIFEST = "dataset.json"
 VOCAB_FILE = "vocab.json"
@@ -50,15 +51,22 @@ class SubjectRecord:
     before_origin: int = 0
 
     @classmethod
-    def from_events(cls, subject: str, streams: dict[str, list[ConceptEvent]],
-                    labels: dict[int, int], gpa: float | None, vocab: Vocabulary,
-                    day_origin: int = 0, remapped_locations: int = 0,
-                    deduplicated: int = 0) -> "SubjectRecord":
-        """The record of `streams`: the graphs of days 0 through its last day
-        with an event or a label, cut at `day_origin`."""
-        days = max(day_span(streams, day_origin), max(labels, default=-1) + 1)
-        return cls(subject, labels, gpa, build_days(streams, days, vocab, day_origin),
-                   remapped_locations, deduplicated, before_origin(streams, day_origin))
+    def from_log(cls, subject: str, log: ParsedLog, labels: dict[int, int],
+                 gpa: float | None, vocab: Vocabulary,
+                 day_origin: int = 0) -> "SubjectRecord":
+        """The record of `log`: the graphs of days 0 through its last day with
+        an event or a label, cut at `day_origin`. The days without an event
+        share one empty graph, whose `day_index` is the first of them."""
+        n_days = max(log.day_span(day_origin), max(labels, default=-1) + 1)
+        graphs = {g.day_index: g for g in build_days(log, vocab, n_days, day_origin)}
+        days, empty = [], None
+        for d in range(n_days):
+            graph = graphs.get(d)
+            if graph is None:
+                graph = empty = empty or LocalContextGraph(d)
+            days.append(graph)
+        return cls(subject, labels, gpa, days, log.remapped_locations, log.deduplicated,
+                   log.before_origin(day_origin))
 
 
 @dataclass
@@ -121,8 +129,7 @@ def load_dataset(path) -> Dataset:
             if int(day) in labeled:
                 raise ValidationError(f"subject {subject!r} labels day {int(day)} twice")
             labeled[int(day)] = cls
-        parsed = parse_event_log(root / require(entry, "log", str), vocab)
-        subjects.append(SubjectRecord.from_events(
-            subject, parsed.streams, labeled, require(entry, "gpa", float, None), vocab,
-            day_origin, parsed.remapped_locations, parsed.deduplicated))
+        subjects.append(SubjectRecord.from_log(
+            subject, parse_event_log(root / require(entry, "log", str), vocab), labeled,
+            require(entry, "gpa", float, None), vocab, day_origin))
     return Dataset(vocab=vocab, subjects=subjects, day_origin=day_origin)

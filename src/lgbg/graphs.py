@@ -1,20 +1,35 @@
 """Per-day heterogeneous context graphs and multi-day labeled samples.
 
-Nodes are distinct (stream, concept) pairs present in a day window, holding
-the concept's total duration as attribute. Same-stream ("homogeneous") edges
-are directed transitions between consecutive distinct concepts, weighted by
-transition count. Cross-stream ("heterogeneous") edges link concepts whose
-occurrences overlap in time, weighted by the number of overlapping pairs and
-stored as two directed edges of equal weight.
+Nodes are distinct (stream, concept) pairs present in a day, holding the
+concept's total duration in hours as attribute. Same-stream ("homogeneous")
+edges are directed transitions between consecutive distinct concepts,
+weighted by transition count. Cross-stream ("heterogeneous") edges link
+concepts whose occurrences overlap in time, weighted by the number of
+overlapping pairs and stored as two directed edges of equal weight.
 
-`build_days` builds a subject's day graphs once, and `span_samples` cuts
-them into labeled samples of consecutive days, so a day graph is shared by
-every sample, and every task, that reads it.
+A day graph is its columns, after Fey & Lenssen (arXiv 1903.02428): node
+concept keys and hours, and edge source, destination, kind and weight in
+(source, destination) order. `build_days` makes every day graph of a log in
+whole-log passes over the pieces that `ParsedLog.cut` makes: node hours from
+one `bincount` over (day, concept), in piece order, so with the same bits as
+a running sum; transitions from consecutive pieces; and each cross-stream
+weight as n_a * n_b - #(a.end <= b.start) - #(b.end <= a.start), that is,
+over the pieces of a, b's starts before its end less b's ends by its start,
+both found by `searchsorted` in b's sorted starts and ends. The counts are
+exact integers in O(n log n) for n pieces and a bounded number of concepts.
+A graph's index form (`arrays`) and its JSON text are cut from the columns;
+`GraphNode` and `GraphEdge` objects are made only to give a graph by hand or
+to read one back (`nodes`, `edges`).
+
+`span_samples` cuts a subject's day graphs into labeled samples of
+consecutive days, so a day graph is shared by every sample, and every task,
+that reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _string
 
@@ -22,11 +37,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .schema import write_text
-from .streams import (STREAMS, ConceptEvent, DayWindow, Vocabulary, day_windows,
-                      sort_events)
+from .streams import STREAMS, ConceptEvent, DayPieces, ParsedLog, Vocabulary
 
 HOMOGENEOUS = "homogeneous"
 HETEROGENEOUS = "heterogeneous"
+KINDS = (HOMOGENEOUS, HETEROGENEOUS)  # an edge's kind column holds the position here
 
 N_CLASSES = 4  # PAM quadrants, see quantize_pam
 
@@ -67,43 +82,107 @@ class GraphArrays:
     edge_weight: np.ndarray
 
 
-@dataclass
-class LocalContextGraph:
-    """One day's graph. `arrays` is computed on first use, so nodes and edges
-    must not change after the graph is first read by a forward pass."""
+@dataclass(frozen=True, eq=False)
+class NodeKeys:
+    """What the node keys of day graphs name: key k is the (stream, concept)
+    pair `names[k]`, whose embedding row is `rows[k]`."""
 
-    day_index: int
-    nodes: list[GraphNode] = field(default_factory=list)
-    edges: list[GraphEdge] = field(default_factory=list)
+    names: tuple[tuple[str, str], ...]
+    rows: np.ndarray
+
+    @cached_property
+    def stream_index(self) -> np.ndarray:
+        return np.array([STREAMS.index(s) for s, _ in self.names], dtype=np.intp)
+
+    @cached_property
+    def json(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's stream and concept as JSON strings."""
+        return (np.array([_string(s) for s, _ in self.names], dtype=object),
+                np.array([_string(c) for _, c in self.names], dtype=object))
+
+    @classmethod
+    def of(cls, vocab: Vocabulary) -> "NodeKeys":
+        """The keys of `vocab`'s concepts, `Vocabulary.concept_keys`."""
+        rows = vocab.embedding_rows
+        return cls(vocab.concept_keys,
+                   np.array([rows[c] for _, c in vocab.concept_keys], dtype=np.intp))
+
+
+class LocalContextGraph:
+    """One day's graph as columns: node `key`s, ascending, so nodes are in
+    (stream, concept) order, with their `hours`; edges in (src, dst) order
+    with their `kind` (position in KINDS) and `weight`. `keys` names the
+    node keys.
+
+    `LocalContextGraph(day_index, nodes, edges)` is the graph of nodes and
+    edges given as objects, in any node order: the nodes are put in
+    canonical order and the edges renumbered to match. Columns must not
+    change after `arrays` is first read."""
+
+    def __init__(self, day_index: int, nodes: Sequence[GraphNode] = (),
+                 edges: Sequence[GraphEdge] = ()):
+        order = sorted(range(len(nodes)), key=lambda i: (nodes[i].stream, nodes[i].concept))
+        rank = np.empty(len(nodes), dtype=np.intp)
+        rank[order] = np.arange(len(nodes))
+        src = rank[np.array([e.src for e in edges], dtype=np.intp)]
+        dst = rank[np.array([e.dst for e in edges], dtype=np.intp)]
+        by_row = np.lexsort((dst, src))
+        self._set(day_index,
+                  NodeKeys(tuple((nodes[i].stream, nodes[i].concept) for i in order),
+                           np.array([nodes[i].embedding_index for i in order],
+                                    dtype=np.intp)),
+                  np.arange(len(nodes)),
+                  np.array([nodes[i].attribute for i in order], dtype=np.float64),
+                  src[by_row], dst[by_row],
+                  np.array([KINDS.index(e.kind) for e in edges], dtype=np.intp)[by_row],
+                  np.array([e.weight for e in edges], dtype=np.int64)[by_row])
+
+    @classmethod
+    def from_columns(cls, day_index: int, keys: NodeKeys, key, hours, src, dst, kind,
+                     weight) -> "LocalContextGraph":
+        """The graph of columns already in canonical order."""
+        graph = cls.__new__(cls)
+        graph._set(day_index, keys, key, hours, src, dst, kind, weight)
+        return graph
+
+    def _set(self, day_index, keys, key, hours, src, dst, kind, weight) -> None:
+        self.day_index = day_index
+        self.keys = keys
+        self.key, self.hours = key, hours
+        self.src, self.dst, self.kind, self.weight = src, dst, kind, weight
 
     def is_empty(self) -> bool:
-        return not self.nodes
+        return not self.key.size
+
+    @property
+    def nodes(self) -> list[GraphNode]:
+        names = self.keys.names
+        return [GraphNode(*names[k], h, r) for k, h, r in
+                zip(self.key.tolist(), self.hours.tolist(),
+                    self.keys.rows[self.key].tolist())]
+
+    @property
+    def edges(self) -> list[GraphEdge]:
+        return [GraphEdge(s, d, KINDS[k], w) for s, d, k, w in
+                zip(self.src.tolist(), self.dst.tolist(), self.kind.tolist(),
+                    self.weight.tolist())]
 
     @cached_property
     def arrays(self) -> GraphArrays:
         """The graph's index form, built on first use and then kept."""
-        order = sorted(range(len(self.nodes)),
-                       key=lambda i: (self.nodes[i].stream, self.nodes[i].concept))
-        remap = {old: new for new, old in enumerate(order)}
-        nodes = [self.nodes[i] for i in order]
-
-        edges = sorted(self.edges, key=lambda e: (remap[e.src], remap[e.dst]))
-        src = np.array([remap[e.src] for e in edges], dtype=np.intp)
-        dst = np.array([remap[e.dst] for e in edges], dtype=np.intp)
-        heterogeneous = np.array([e.kind == HETEROGENEOUS for e in edges], dtype=np.intp)
-        weight = np.array([e.weight for e in edges], dtype=np.float64)
+        n = self.key.size
+        weight = self.weight.astype(np.float64)
         # Each edge's destination total of its kind, summed over 2 * dst + kind.
-        into = 2 * dst + heterogeneous
-        totals = np.bincount(into, weights=weight, minlength=2 * len(nodes))[into]
+        into = 2 * self.dst + self.kind
+        totals = np.bincount(into, weights=weight, minlength=2 * n)[into]
+        # As `np.array(names, dtype=str)` types them: no wider than the longest.
+        kinds = KINDS[:int(self.kind.max()) + 1] if self.kind.size else ()
         return GraphArrays(
-            n=len(nodes),
-            embedding_index=np.array([nd.embedding_index for nd in nodes],
-                                     dtype=np.intp),
-            day_fraction=np.array([nd.attribute for nd in nodes])[:, None] / 24.0,
-            stream_index=np.array([STREAMS.index(nd.stream) for nd in nodes],
-                                  dtype=np.intp),
-            src_idx=src, dst_idx=dst,
-            edge_kind=np.array([e.kind for e in edges], dtype=str),
+            n=n, embedding_index=self.keys.rows[self.key],
+            day_fraction=self.hours[:, None] / 24.0,
+            stream_index=self.keys.stream_index[self.key],
+            src_idx=self.src, dst_idx=self.dst,
+            edge_kind=np.array(kinds, dtype=str)[self.kind],
             edge_weight=np.divide(weight, totals, out=np.zeros_like(weight),
                                   where=totals > 0))
 
@@ -111,24 +190,35 @@ class LocalContextGraph:
         """The text of `json.dumps(doc, sort_keys=True, separators=(",", ": "),
         indent=1)`, where `doc` holds the `day_index`, the `nodes` as
         `{stream, concept, attribute}` objects and the `edges` as
-        `{src, dst, kind, weight}` objects, in list order. It is formatted
-        straight from this fixed schema: strings and numbers as `json` writes
-        them, without its pure-Python indenting encoder. Attributes must be
-        finite floats."""
-        edges = [_EDGE % (int.__repr__(e.dst), _string(e.kind), int.__repr__(e.src),
-                          int.__repr__(e.weight)) for e in self.edges]
-        nodes = [_NODE % (float.__repr__(n.attribute), _string(n.concept), _string(n.stream))
-                 for n in self.nodes]
+        `{src, dst, kind, weight}` objects, in column order. It is formatted
+        straight from this fixed schema, each list with one `%`: strings and
+        numbers as `json` writes them, without its pure-Python indenting
+        encoder. Hours must be finite."""
+        streams, concepts = self.keys.json
+        nodes = [None] * (3 * self.key.size)
+        nodes[0::3] = self.hours.tolist()
+        nodes[1::3] = concepts[self.key].tolist()
+        nodes[2::3] = streams[self.key].tolist()
+        edges = [None] * (4 * self.src.size)
+        edges[0::4] = self.dst.tolist()
+        edges[1::4] = _KIND_JSON[self.kind].tolist()
+        edges[2::4] = self.src.tolist()
+        edges[3::4] = self.weight.tolist()
         return (f'{{\n "day_index": {int.__repr__(self.day_index)},\n'
-                f' "edges": {_list(edges)},\n "nodes": {_list(nodes)}\n}}')
+                f' "edges": {_list(_EDGE, edges)},\n "nodes": {_list(_NODE, nodes)}\n}}')
 
 
 _EDGE = '  {\n   "dst": %s,\n   "kind": %s,\n   "src": %s,\n   "weight": %s\n  }'
 _NODE = '  {\n   "attribute": %s,\n   "concept": %s,\n   "stream": %s\n  }'
+_KIND_JSON = np.array([_string(k) for k in KINDS], dtype=object)
 
 
-def _list(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+def _list(item: str, values: list) -> str:
+    """The JSON list of `item` objects that `values` fill in turn."""
+    if not values:
+        return "[]"
+    objects = ",\n".join([item] * (len(values) // item.count("%s")))
+    return "[\n" + objects % tuple(values) + "\n ]"
 
 
 @dataclass
@@ -147,79 +237,162 @@ class GlobalSample:
             raise ValidationError(f"label {self.label} outside 0..{N_CLASSES - 1}")
 
 
+# Every sort here is numpy's stable sort, which the forward also uses
+# (`gnn.batch_graphs`). The default sort and `np.unique` run other sort code,
+# whose pages raised the peak resident memory of `benchmarks/run.py`'s
+# `train_combined` by 1.7 MiB.
+
+
+def _sorted(values: np.ndarray) -> np.ndarray:
+    return values[np.argsort(values, kind="stable")]
+
+
+def _distinct(values: np.ndarray):
+    """What `np.unique(values, return_inverse=True, return_counts=True)`
+    gives: the distinct values, ascending, each entry's position among them
+    and the count of each."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(values.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse, np.diff(np.append(np.flatnonzero(first), values.size))
+
+
+# Pieces counted at once, in runs of whole days: a bound on the count's
+# working memory, which grows with pieces times the concepts of their day.
+_BLOCK = 1 << 10
+
+
+def _count(p: DayPieces):
+    """The nodes and edges of every day of `p` at once.
+
+    Nodes are the distinct (day, key) pairs, in that order, with their hours
+    summed in piece order. Returns the node day, key and hours columns and
+    the edge src, dst (node numbers), kind and weight columns, edges in
+    (src, dst) order.
+    """
+    n_keys = int(p.key.max()) + 1 if p.key.size else 1
+    codes, node, pieces = _distinct(p.day * n_keys + p.key)
+    n = codes.size
+    node_day = codes // n_keys
+    hours = np.bincount(node, weights=(p.end - p.start) / 3600.0, minlength=n)
+    stream = np.zeros(n, dtype=np.int64)
+    stream[node] = p.stream
+
+    # Transitions: consecutive pieces of one day and stream, concepts differing.
+    step = ((p.day[1:] == p.day[:-1]) & (p.stream[1:] == p.stream[:-1])
+            & (p.key[1:] != p.key[:-1]))
+    moves, _, counts = _distinct(node[:-1][step] * n + node[1:][step])
+
+    # Overlaps: each node u against each node v of a later stream of its day.
+    # The pieces of v that overlap a piece of u are #(v's starts before its
+    # end) less #(v's ends by its start), looked up in every node's sorted
+    # starts and ends.
+    base = p.start.min(initial=0)
+    start, end = p.start - base, p.end - base
+    span = int(end.max(initial=0)) + 1
+    starts, ends = _sorted(node * span + start), _sorted(node * span + end)
+    offset = np.cumsum(pieces) - pieces
+    block = node_day * len(STREAMS) + stream
+    later = np.searchsorted(block, block, side="right")
+    n_later = np.searchsorted(node_day, node_day, side="right") - later
+    u = np.repeat(np.arange(n), n_later)
+    v = later[u] + np.arange(u.size) - (np.cumsum(n_later) - n_later)[u]
+    size = pieces[u]
+    at = np.cumsum(size) - size
+    mine = np.argsort(node, kind="stable")[
+        np.arange(size.sum()) + np.repeat(offset[u] - at, size)]
+    other = np.repeat(v * span, size)
+    counted = (np.searchsorted(starts, other + end[mine])
+               - np.searchsorted(ends, other + start[mine], side="right"))
+    overlaps = np.add.reduceat(counted, at) if u.size else counted
+    met = overlaps > 0
+    u, v, overlaps = u[met], v[met], overlaps[met]
+
+    # Both directions of an overlap, then the transitions, in (src, dst) order.
+    pair = np.concatenate([u * n + v, v * n + u, moves])
+    order = np.argsort(pair, kind="stable")
+    kind = np.repeat([1, 1, 0], [u.size, u.size, moves.size])[order]
+    weight = np.concatenate([overlaps, overlaps, counts])[order]
+    return (node_day, codes % n_keys, hours, pair[order] // n, pair[order] % n,
+            kind.astype(np.intp), weight.astype(np.int64))
+
+
+def build_days(log: ParsedLog, vocab: Vocabulary, days: int,
+               day_origin: int = 0) -> Iterator[LocalContextGraph]:
+    """The graph of each day of 0 .. `days` - 1 after `day_origin` that holds
+    an event, in day order. The log is cut in one pass and counted in runs of
+    whole days of about `_BLOCK` pieces, so a caller that drops the graphs as
+    they come holds about one run's work at a time."""
+    keys = NodeKeys.of(vocab)
+    p = log.cut(day_origin, days)
+    new_day = np.append(np.flatnonzero(np.diff(p.day)) + 1, p.day.size)
+    lo = 0
+    while lo < p.day.size:
+        # The last day that ends within the block, or else the first day.
+        hi = int(new_day[max(np.searchsorted(new_day, lo + _BLOCK, side="right") - 1,
+                             np.searchsorted(new_day, lo, side="right"))])
+        yield from _run_graphs(DayPieces(p.day[lo:hi], p.stream[lo:hi], p.start[lo:hi],
+                                         p.end[lo:hi], p.key[lo:hi]), keys)
+        lo = hi
+
+
+def _run_graphs(p: DayPieces, keys: NodeKeys) -> list[LocalContextGraph]:
+    """The graphs of the days of `p`, each holding copies of its own rows."""
+    node_day, key, hours, src, dst, kind, weight = _count(p)
+    first = np.searchsorted(node_day, node_day)
+    src, dst, edge_day = src - first[src], dst - first[src], node_day[src]
+    present = _distinct(node_day)[0]
+    return [LocalContextGraph.from_columns(
+                d, keys, key[a:b].copy(), hours[a:b].copy(), src[c:e].copy(),
+                dst[c:e].copy(), kind[c:e].copy(), weight[c:e].copy())
+            for d, a, b, c, e in zip(present.tolist(),
+                                     *(np.searchsorted(col, present, side=side).tolist()
+                                       for col in (node_day, edge_day)
+                                       for side in ("left", "right")))]
+
+
+def _edge_counts(sides: list[list[ConceptEvent]]) -> dict[tuple[str, str], int]:
+    """The edge weights of one day that holds each list of `sides` as a
+    stream of its own, by the concept names of their ends; with two sides,
+    the cross-stream edges from side 0 to side 1."""
+    names = [(s, c) for s, evs in enumerate(sides) for c in sorted({e.concept for e in evs})]
+    keys = {name: k for k, name in enumerate(names)}
+    rows = [(s, e.start, e.end, keys[s, e.concept]) for s, evs in enumerate(sides)
+            for e in evs]
+    stream, start, end, key = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    order = np.lexsort((key, end, start, stream))
+    _, node_key, _, src, dst, _, weight = _count(DayPieces(
+        np.zeros(order.size, dtype=np.int64), stream[order], start[order], end[order],
+        key[order]))
+    ends = [(names[node_key[a]], names[node_key[b]]) for a, b in zip(src, dst)]
+    return {(x[1], y[1]): int(w) for (x, y), w in zip(ends, weight)
+            if x[0] == 0 and y[0] == len(sides) - 1}
+
+
 def homogeneous_edges(events: list[ConceptEvent]) -> dict[tuple[str, str], int]:
-    """Directed transition counts between consecutive distinct concepts."""
-    counts: dict[tuple[str, str], int] = {}
-    ordered = sort_events(events)
-    for prev, nxt in zip(ordered, ordered[1:]):
-        if prev.concept == nxt.concept:
-            continue
-        key = (prev.concept, nxt.concept)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    """Directed transition counts between consecutive distinct concepts of one
+    stream's events, counted as a day graph counts them."""
+    return _edge_counts([events])
 
 
 def heterogeneous_edges(events_a: list[ConceptEvent],
                         events_b: list[ConceptEvent]) -> dict[tuple[str, str], int]:
-    """Undirected co-occurrence counts between two different streams.
+    """Undirected co-occurrence counts between two different streams, counted
+    as a day graph counts them.
 
     A pair co-occurs when the intervals strictly overlap
-    (max(starts) < min(ends)); touching intervals do not count. One sweep
-    takes both sides' events in start order: each drops the other side's
-    events that ended by its start, pairs with each one left and joins its
-    own side. A pair is counted by whichever of the two comes later, and as
-    events are never empty, exactly when it overlaps; so neither the order
-    of ties nor that of the input lists changes the counts.
+    (max(starts) < min(ends)); touching intervals do not count. As events
+    are never empty, a pair that does not overlap has exactly one of
+    a.end <= b.start and b.end <= a.start, so the count of two concepts is
+    n_a * n_b less those of each; neither the order of ties nor that of the
+    input lists changes it.
     """
     if events_a and events_b and events_a[0].stream == events_b[0].stream:
         raise ValidationError("heterogeneous_edges needs two different streams")
-    sweep = sorted([(e, 0) for e in events_a] + [(e, 1) for e in events_b],
-                   key=lambda item: item[0].start)
-    active: list[list[ConceptEvent]] = [[], []]
-    counts: dict[tuple[str, str], int] = {}
-    for event, side in sweep:
-        active[1 - side] = [o for o in active[1 - side] if o.end > event.start]
-        for other in active[1 - side]:
-            a, b = (event, other) if side == 0 else (other, event)
-            counts[a.concept, b.concept] = counts.get((a.concept, b.concept), 0) + 1
-        active[side].append(event)
-    return counts
-
-
-def build_local_graph(window: DayWindow, vocab: Vocabulary) -> LocalContextGraph:
-    """Assemble one day's graph; nodes in (stream, concept) lexicographic order."""
-    durations: dict[tuple[str, str], float] = {}
-    for stream in STREAMS:
-        for e in window.events(stream):
-            key = (stream, e.concept)
-            durations[key] = durations.get(key, 0.0) + e.seconds / 3600.0
-
-    keys = sorted(durations)
-    rows = vocab.embedding_rows
-    nodes = [GraphNode(stream=s, concept=c, attribute=durations[(s, c)],
-                       embedding_index=rows[c]) for s, c in keys]
-    index = {k: i for i, k in enumerate(keys)}
-
-    edges: list[GraphEdge] = []
-    for stream in STREAMS:
-        for (a, b), w in homogeneous_edges(window.events(stream)).items():
-            edges.append(GraphEdge(src=index[(stream, a)], dst=index[(stream, b)],
-                                   kind=HOMOGENEOUS, weight=w))
-    for i, s_a in enumerate(STREAMS):
-        for s_b in STREAMS[i + 1:]:
-            pair_counts = heterogeneous_edges(window.events(s_a), window.events(s_b))
-            for (a, b), w in pair_counts.items():
-                ia, ib = index[(s_a, a)], index[(s_b, b)]
-                edges.append(GraphEdge(src=ia, dst=ib, kind=HETEROGENEOUS, weight=w))
-                edges.append(GraphEdge(src=ib, dst=ia, kind=HETEROGENEOUS, weight=w))
-    edges.sort(key=lambda e: (e.src, e.dst))
-    return LocalContextGraph(day_index=window.day_index, nodes=nodes, edges=edges)
-
-
-def build_days(streams: dict[str, list[ConceptEvent]], days: int, vocab: Vocabulary,
-               day_origin: int = 0) -> list[LocalContextGraph]:
-    """The graphs of days 0 .. `days` - 1 after `day_origin`, in day order."""
-    return [build_local_graph(w, vocab) for w in day_windows(streams, day_origin, days)]
+    return _edge_counts([events_a, events_b])
 
 
 def span_samples(days: list[LocalContextGraph], labels: dict[int, int], span: int,

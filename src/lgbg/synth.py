@@ -37,7 +37,7 @@ from .dataset import Dataset, SubjectRecord
 from .errors import ValidationError
 from .schema import build, read_json
 from .streams import (ACTIVITY, AUDIO, LOCATION, MAX_DAYS, STREAMS, ConceptEvent,
-                      SECONDS_PER_DAY, Vocabulary, sort_events)
+                      SECONDS_PER_DAY, ParsedLog, Vocabulary, sort_events)
 
 MECHANISMS = ("node", "transition", "cooccurrence", "combined")
 MAX_SUBJECTS = 1000   # subject ids s000..s999
@@ -206,5 +206,7 @@ def subject_events(spec: ScenarioSpec) -> Iterator[
 
 def generate(spec: ScenarioSpec) -> Dataset:
     """The dataset of `spec`: every subject's day graphs, labels and grade."""
-    return Dataset(vocab=VOCAB, subjects=[SubjectRecord.from_events(*subject, VOCAB)
-                                          for subject in subject_events(spec)])
+    return Dataset(vocab=VOCAB, subjects=[
+        SubjectRecord.from_log(subject, ParsedLog.from_events(streams, VOCAB), labels, gpa,
+                               VOCAB)
+        for subject, streams, labels, gpa in subject_events(spec)])

@@ -7,7 +7,10 @@ from hypothesis import settings
 from lgbg.config import TrainConfig
 from lgbg.dataset import Dataset, SubjectRecord
 from lgbg.embeddings import EmbeddingTable
-from lgbg.streams import ConceptEvent, DayWindow, Vocabulary, day_windows
+from lgbg.graphs import LocalContextGraph, build_days
+from lgbg.streams import STREAMS, ConceptEvent, ParsedLog, Vocabulary
+
+from reference import DayWindow, day_windows
 
 # Mutated input files driven through the CLI (tests/test_cli.py): the same
 # examples on every run, each a few CLI calls long.
@@ -36,8 +39,37 @@ def ev(stream: str, concept: str, start: int, end: int) -> ConceptEvent:
 
 
 def one_day(streams, day: int = 0) -> DayWindow:
-    """Window `day` of `streams`, days counted from origin 0."""
+    """Window `day` of `streams`, days counted from origin 0, cut by the
+    per-event reference."""
     return day_windows(streams, 0, day + 1)[day]
+
+
+def day_graph(streams, vocab: Vocabulary, day: int = 0) -> LocalContextGraph:
+    """The graph of day `day` of `streams`, days counted from origin 0, as
+    `lgbg` builds it."""
+    graphs = build_days(ParsedLog.from_events(streams, vocab), vocab, day + 1)
+    return next((g for g in graphs if g.day_index == day), LocalContextGraph(day))
+
+
+def events_of(log: ParsedLog, vocab: Vocabulary) -> dict[str, list[ConceptEvent]]:
+    """`log`'s events as objects, per stream in column order."""
+    out = {s: [] for s in STREAMS}
+    for k, start, end in zip(log.key.tolist(), log.start.tolist(), log.end.tolist()):
+        stream, concept = vocab.concept_keys[k]
+        out[stream].append(ConceptEvent(start=start, end=end, stream=stream, concept=concept))
+    return out
+
+
+def cut_windows(streams, vocab: Vocabulary, day_origin: int, days: int) -> list[DayWindow]:
+    """`ParsedLog.cut`'s pieces of `streams` as per-day event lists."""
+    pieces = ParsedLog.from_events(streams, vocab).cut(day_origin, days)
+    windows = [DayWindow(d, {s: [] for s in STREAMS}) for d in range(days)]
+    for d, k, start, end in zip(pieces.day.tolist(), pieces.key.tolist(),
+                                pieces.start.tolist(), pieces.end.tolist()):
+        stream, concept = vocab.concept_keys[k]
+        windows[d].streams[stream].append(ConceptEvent(
+            start=start + day_origin, end=end + day_origin, stream=stream, concept=concept))
+    return windows
 
 
 def random_events(rng: np.random.Generator, stream: str, concepts, n: int,
@@ -54,5 +86,6 @@ def random_events(rng: np.random.Generator, stream: str, concepts, n: int,
 def events_dataset(vocab: Vocabulary, subjects, day_origin: int = 0) -> Dataset:
     """The dataset of `(id, streams, labels, gpa)` subjects, as `synth.generate`
     makes it from `synth.subject_events`, with days cut at `day_origin`."""
-    return Dataset(vocab, [SubjectRecord.from_events(*s, vocab, day_origin)
-                           for s in subjects], day_origin)
+    return Dataset(vocab, [SubjectRecord.from_log(subject, ParsedLog.from_events(streams, vocab),
+                                                  labels, gpa, vocab, day_origin)
+                           for subject, streams, labels, gpa in subjects], day_origin)

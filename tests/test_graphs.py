@@ -1,4 +1,7 @@
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgbg.errors import ValidationError
-from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GraphEdge, GraphNode,
-                         LocalContextGraph, build_local_graph,
-                         heterogeneous_edges, homogeneous_edges, quantize_pam)
-from lgbg.streams import ACTIVITY, AUDIO, LOCATION
+from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GraphArrays, LocalContextGraph,
+                         NodeKeys, build_days, heterogeneous_edges, homogeneous_edges,
+                         quantize_pam)
+from lgbg.streams import (ACTIVITY, AUDIO, LOCATION, SECONDS_PER_DAY, STREAMS, Vocabulary,
+                          parse_event_log)
 
-from conftest import ev, events_dataset, one_day, random_events
-from reference import graph_dict
+from conftest import day_graph, ev, events_dataset, one_day, random_events
+from reference import (before_origin, build_local_graph, day_span, day_windows, dump_text,
+                       graph_arrays, graph_dict, read_events)
 
 
 def adjacent_pair_tally(events):
@@ -118,14 +123,14 @@ def test_heterogeneous_matches_all_pairs_oracle_on_ties():
 
 
 def test_empty_window_empty_graph(vocab):
-    graph = build_local_graph(one_day({}), vocab)
+    graph = day_graph({}, vocab)
     assert graph.is_empty()
     assert graph.edges == []
 
 
 def test_single_event_graph(vocab):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 5400)]}
-    graph = build_local_graph(one_day(streams), vocab)
+    graph = day_graph(streams, vocab)
     assert len(graph.nodes) == 1
     assert graph.nodes[0].attribute == 1.5
     assert graph.edges == []
@@ -141,7 +146,7 @@ def scripted_day():
 
 
 def test_scripted_day_matches_hand_enumeration(vocab):
-    graph = build_local_graph(one_day(scripted_day()), vocab)
+    graph = day_graph(scripted_day(), vocab)
     keys = [(n.stream, n.concept) for n in graph.nodes]
     assert keys == [(ACTIVITY, "stationary"), (ACTIVITY, "walking"),
                     (AUDIO, "silence"), (AUDIO, "voice"),
@@ -166,8 +171,8 @@ def test_scripted_day_matches_hand_enumeration(vocab):
 def test_edge_weights_invariant_to_event_permutation(vocab):
     streams = scripted_day()
     shuffled = {s: list(reversed(v)) for s, v in streams.items()}
-    g1 = build_local_graph(one_day(streams), vocab)
-    g2 = build_local_graph(one_day(shuffled), vocab)
+    g1 = day_graph(streams, vocab)
+    g2 = day_graph(shuffled, vocab)
     assert graph_dict(g1) == graph_dict(g2)
 
 
@@ -179,7 +184,7 @@ def test_every_het_edge_backed_by_an_overlap(vocab):
         LOCATION: random_events(rng, LOCATION, ["dorm", "gym"], 20),
     }
     window = one_day(streams)
-    graph = build_local_graph(window, vocab)
+    graph = day_graph(streams, vocab)
     for e in graph.edges:
         if e.kind != HETEROGENEOUS:
             continue
@@ -189,6 +194,80 @@ def test_every_het_edge_backed_by_an_overlap(vocab):
             for a in window.events(src.stream) if a.concept == src.concept
             for b in window.events(dst.stream) if b.concept == dst.concept)
         assert found
+
+
+# ---------------------------------------------------------------------------
+# the column builder against the per-event builder it replaced
+
+LOG_VOCAB = Vocabulary(locations=("dorm", "gym"))
+# Index 2 of the location stream is missing from LOG_VOCAB, so it is remapped.
+LOG_CONCEPTS = {ACTIVITY: ("running", "walking"), AUDIO: ("noise", "voice"),
+                LOCATION: ("dorm", "gym", "moon-base")}
+HOUR = 3600
+# Whole hours often land on midnight: straddlers clipped there tie with events
+# that start there, and events longer than a day clip to the same full day.
+# On the 6-hour grid events of two streams often touch, end to start.
+LOG_TIMES = st.one_of(st.integers(-2 * SECONDS_PER_DAY, 4 * SECONDS_PER_DAY),
+                      st.integers(-48, 96).map(lambda h: h * HOUR),
+                      st.integers(-8, 16).map(lambda q: q * 6 * HOUR))
+LOG_LENGTHS = st.one_of(st.integers(1, 2 * SECONDS_PER_DAY),
+                        st.integers(1, 60).map(lambda h: h * HOUR),
+                        st.integers(1, 8).map(lambda q: q * 6 * HOUR))
+LOG_ORIGINS = st.one_of(st.just(0), st.integers(-SECONDS_PER_DAY, SECONDS_PER_DAY),
+                        st.integers(-24, 24).map(lambda h: h * HOUR))
+RECORDS = st.lists(st.tuples(st.sampled_from(STREAMS), st.integers(0, 2), LOG_TIMES,
+                             LOG_LENGTHS), max_size=30)
+
+
+def assert_builds_as_reference(lines: list[str], origin: int, extra: int) -> None:
+    """`lines` built by `lgbg` and by the per-event reference: the same
+    counters, the same JSON text of every day and the same bytes of every
+    index-form field."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_text("\n".join([json.dumps({"format": 1})] + lines) + "\n")
+        parsed = parse_event_log(path, LOG_VOCAB)
+        streams, remapped, deduplicated = read_events(path, LOG_VOCAB)
+    assert (parsed.remapped_locations, parsed.deduplicated) == (remapped, deduplicated)
+    assert parsed.before_origin(origin) == before_origin(streams, origin)
+    days = parsed.day_span(origin) + extra
+    assert days == day_span(streams, origin) + extra
+    graphs = {g.day_index: g for g in build_days(parsed, LOG_VOCAB, days, origin)}
+    for window in day_windows(streams, origin, days):
+        want = build_local_graph(window, LOG_VOCAB)
+        got = graphs.get(window.day_index)
+        assert (got is None) == (not want.nodes)
+        got = got or LocalContextGraph(window.day_index)
+        assert got.dump_json() == dump_text(want)
+        ours, theirs = got.arrays, graph_arrays(want)
+        for f in fields(GraphArrays):
+            a, b = getattr(ours, f.name), getattr(theirs, f.name)
+            if f.name == "n":
+                assert a == b
+            else:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+@settings(settings.get_profile("derandomized"))
+@given(records=RECORDS, repeats=st.lists(st.integers(0, 29), max_size=4),
+       origin=LOG_ORIGINS, extra=st.integers(0, 2))
+@example(records=[(AUDIO, 1, 20 * HOUR, 10 * HOUR),      # clipped to day 1's midnight
+                  (AUDIO, 0, 25 * HOUR, 2 * HOUR),       # starts at that midnight
+                  (AUDIO, 1, 0, 3 * SECONDS_PER_DAY),     # clips, on day 1, to the same
+                  (AUDIO, 1, 20 * HOUR, 2 * SECONDS_PER_DAY),  # tuple as this one
+                  (LOCATION, 2, -5 * HOUR, 7 * HOUR),    # remapped, before the origin
+                  (LOCATION, 0, 2 * HOUR, 9 * HOUR),
+                  (ACTIVITY, 0, HOUR, 30 * HOUR)],
+         repeats=[0, 4, 4], origin=HOUR, extra=1)
+@example(records=[(AUDIO, 1, HOUR, HOUR), (LOCATION, 0, 0, HOUR),   # touching, both ways
+                  (ACTIVITY, 0, 2 * HOUR, HOUR), (AUDIO, 0, 3 * HOUR, HOUR)],
+         repeats=[], origin=0, extra=0)
+def test_column_builder_matches_per_event_reference(records, repeats, origin, extra):
+    lines = [json.dumps({"stream": s, "concept": LOG_CONCEPTS[s][i % len(LOG_CONCEPTS[s])],
+                         "start": start, "end": start + length})
+             for s, i, start, length in records]
+    lines += [lines[i] for i in repeats if i < len(lines)]
+    assert_builds_as_reference(lines, origin, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +327,29 @@ NAMES = st.one_of(st.sampled_from([ACTIVITY, AUDIO, LOCATION, "caf\u00e9", 'a"b'
                   st.text(max_size=6))
 ATTRIBUTES = st.one_of(st.sampled_from([1e-7, 1 / 3, 1e16, 5e-324, 2.0, 0.1 + 0.2]),
                        st.floats(allow_nan=False, allow_infinity=False))
-NODES = st.lists(st.builds(GraphNode, stream=NAMES, concept=NAMES, attribute=ATTRIBUTES,
-                           embedding_index=st.integers(0, 20)), max_size=6)
-EDGES = st.lists(st.builds(GraphEdge, src=st.integers(-1, 2 ** 40), dst=st.integers(0, 9),
-                           kind=st.one_of(st.sampled_from([HOMOGENEOUS, HETEROGENEOUS]),
-                                          NAMES),
-                           weight=st.integers(0, 10 ** 12)), max_size=6)
+NODES = st.lists(st.tuples(NAMES, NAMES, ATTRIBUTES), max_size=6)
+EDGES = st.lists(st.tuples(st.integers(-1, 2 ** 40), st.integers(0, 9), st.integers(0, 1),
+                           st.integers(0, 10 ** 12)), max_size=6)
+
+
+def column_graph(day, nodes, edges) -> LocalContextGraph:
+    """A graph whose columns are given outright: node i is key i, named by
+    the (stream, concept) of `nodes[i]`; edges need not name real nodes."""
+    keys = NodeKeys(tuple((s, c) for s, c, _ in nodes), np.zeros(len(nodes), dtype=np.intp))
+    src, dst, kind, weight = (np.array(col, dtype=np.int64).reshape(-1)
+                              for col in zip(*edges)) if edges else [np.zeros(0, np.int64)] * 4
+    return LocalContextGraph.from_columns(day, keys, np.arange(len(nodes)),
+                                          np.array([h for _, _, h in nodes], dtype=float),
+                                          src, dst, kind, weight)
 
 
 @settings(settings.get_profile("derandomized"))
 @given(day=st.integers(0, 10 ** 6), nodes=NODES, edges=EDGES)
 @example(day=0, nodes=[], edges=[])
-@example(day=3, nodes=[GraphNode(AUDIO, '\u00e9"\\\x01', 1 / 3, 0)], edges=[])
-@example(day=3, nodes=[], edges=[GraphEdge(0, 1, HOMOGENEOUS, 2)])
+@example(day=3, nodes=[(AUDIO, '\u00e9"\\\x01', 1 / 3)], edges=[])
+@example(day=3, nodes=[], edges=[(0, 1, 0, 2)])
 def test_dump_json_matches_json_dumps(day, nodes, edges):
-    graph = LocalContextGraph(day_index=day, nodes=nodes, edges=edges)
+    graph = column_graph(day, nodes, edges)
     expected = json.dumps(graph_dict(graph), sort_keys=True, separators=(",", ": "),
                           indent=1)
     assert graph.dump_json() == expected

@@ -12,13 +12,13 @@ from lgbg.gnn import (GnnParams, batch_graphs, edge_embeddings, initial_states,
                       local_graph_forward, message_passing_layer, semantic_pool,
                       structural_pool)
 from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GlobalSample, GraphEdge,
-                         LocalContextGraph, build_local_graph)
+                         LocalContextGraph)
 from lgbg.model import Model
 from lgbg.streams import ACTIVITY, AUDIO, LOCATION
 from lgbg.temporal import span_attention
 from lgbg.training import node_variance_loss
 
-from conftest import ev, one_day
+from conftest import day_graph, ev
 from reference import rows, tanh, total, vector
 
 DATA = Path(__file__).parent / "data"
@@ -34,7 +34,7 @@ def mixed_graph(vocab, table):
         AUDIO: [ev(AUDIO, "voice", 0, 5000), ev(AUDIO, "silence", 5400, 12000)],
         LOCATION: [ev(LOCATION, "dorm", 0, 8000), ev(LOCATION, "library", 8200, 12600)],
     }
-    return build_local_graph(one_day(streams), vocab)
+    return day_graph(streams, vocab)
 
 
 def dense_layer_oracle(states, graph, layer, nonlinear):
@@ -71,7 +71,7 @@ def dense_layer_oracle(states, graph, layer, nonlinear):
 
 def test_attribute_scaling_identity_at_full_day(vocab, small_table):
     streams = {ACTIVITY: [ev(ACTIVITY, "running", 0, 86400)]}
-    graph = build_local_graph(one_day(streams), vocab)
+    graph = day_graph(streams, vocab)
     states = initial_states(graph.arrays, small_table)
     assert np.allclose(states.data[0], vector(small_table, "running"), atol=1e-15)
 
@@ -123,7 +123,7 @@ def make_params(config, seed=0):
 
 def test_isolated_node_gets_self_term_only(vocab, small_table, small_config):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 7200)]}
-    graph = build_local_graph(one_day(streams), vocab)
+    graph = day_graph(streams, vocab)
     params = make_params(small_config)
     states = initial_states(graph.arrays, small_table)
     compiled = batch_graphs([graph.arrays], small_config)
@@ -136,13 +136,12 @@ def test_single_edge_alpha_is_one_regardless_of_weight(vocab, small_table, small
     params = make_params(small_config)
     results = []
     for weight in (1, 7):
-        graph = LocalContextGraph(day_index=0)
-        base = build_local_graph(one_day(
-            {AUDIO: [ev(AUDIO, "voice", 0, 3600), ev(AUDIO, "silence", 3600, 7200)]}),
-            vocab)
-        graph.nodes = base.nodes
-        graph.edges = [GraphEdge(src=e.src, dst=e.dst, kind=e.kind, weight=weight)
-                       for e in base.edges]
+        base = day_graph(
+            {AUDIO: [ev(AUDIO, "voice", 0, 3600), ev(AUDIO, "silence", 3600, 7200)]}, vocab)
+        graph = LocalContextGraph(
+            day_index=0, nodes=base.nodes,
+            edges=[GraphEdge(src=e.src, dst=e.dst, kind=e.kind, weight=weight)
+                   for e in base.edges])
         states = initial_states(graph.arrays, small_table)
         out = message_passing_layer(states, batch_graphs([graph.arrays], small_config),
                                     params.layers[0], nonlinear=False)
@@ -197,7 +196,7 @@ def layer_case(name, vocab, table, config):
     """The multi-graph batch of case `name` and its config; checks which edge
     kinds and streams the batch holds."""
     def graph(**streams):
-        return build_local_graph(one_day(streams), vocab).arrays
+        return day_graph(streams, vocab).arrays
 
     mixed = mixed_graph(vocab, table).arrays
     chatter = graph(audio=[ev(AUDIO, "voice", 0, 3600), ev(AUDIO, "silence", 3600, 7200),
@@ -413,7 +412,7 @@ def test_empty_graph_uses_empty_day_vector(vocab, small_table, small_config):
 
 def test_edgeless_graph_zero_structural(vocab, small_table, small_config):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 7200)]}
-    graph = build_local_graph(one_day(streams), vocab)
+    graph = day_graph(streams, vocab)
     params = make_params(small_config)
     rep = local_graph_forward(graph, small_table, params, small_config)
     assert np.array_equal(rep.g_e.data, np.zeros((1, small_config.de)))
@@ -538,11 +537,10 @@ def invariance_samples(vocab, table):
     """Spans over a shared pool of day graphs: both edge kinds, edgeless,
     empty, and a day repeated within one span."""
     mixed = mixed_graph(vocab, table)
-    edgeless = build_local_graph(one_day({ACTIVITY: [ev(ACTIVITY, "walking", 0, 7200)]}),
-                                 vocab)
-    chatter = build_local_graph(one_day(
+    edgeless = day_graph({ACTIVITY: [ev(ACTIVITY, "walking", 0, 7200)]}, vocab)
+    chatter = day_graph(
         {AUDIO: [ev(AUDIO, "voice", 0, 3600), ev(AUDIO, "silence", 3600, 7200),
-                 ev(AUDIO, "voice", 7200, 9000)]}), vocab)
+                 ev(AUDIO, "voice", 7200, 9000)]}, vocab)
     empty = LocalContextGraph(day_index=0)
     spans = [[mixed, empty, edgeless], [empty, edgeless, chatter],
              [chatter, mixed, mixed], [empty, empty, empty]]

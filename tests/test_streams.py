@@ -6,14 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgbg.errors import ParseError, ValidationError, VocabularyError
-from lgbg.graphs import build_local_graph
 from lgbg.streams import (ACTIVITY, AUDIO, LOCATION, MAX_DAYS, OTHER_LOCATION,
-                          SECONDS_PER_DAY, STREAMS, ConceptEvent, DayWindow,
-                          Vocabulary, day_span, day_windows, parse_event_log,
-                          sort_events, write_event_log)
+                          SECONDS_PER_DAY, STREAMS, TIME_LIMIT, ConceptEvent, ParsedLog,
+                          Vocabulary, parse_event_log, sort_events, write_event_log)
 
-from conftest import ev, one_day
-from reference import behavior_feature
+from conftest import cut_windows, day_graph, ev, events_of, one_day
+from reference import DayWindow, behavior_feature
 
 
 def write_log(path, records, header=True):
@@ -66,15 +64,15 @@ def test_vocab_rejects_bad_activity_list(tmp_path):
 def test_parse_empty_file(tmp_path, vocab):
     (tmp_path / "log.jsonl").write_text("")
     parsed = parse_event_log(tmp_path / "log.jsonl", vocab)
-    assert not any(parsed.streams.values())
-    assert set(parsed.streams) == {ACTIVITY, AUDIO, LOCATION}
+    assert parsed.start.size == parsed.end.size == parsed.key.size == 0
+    assert events_of(parsed, vocab) == {ACTIVITY: [], AUDIO: [], LOCATION: []}
 
 
 def test_parse_single_record(tmp_path, vocab):
     write_log(tmp_path / "log.jsonl", [rec("activity", "walking", 0, 3600)])
     parsed = parse_event_log(tmp_path / "log.jsonl", vocab)
-    (event,) = parsed.streams[ACTIVITY]
-    assert event.seconds == 3600
+    (event,) = events_of(parsed, vocab)[ACTIVITY]
+    assert (event.end - event.start) == 3600
 
 
 def test_parse_sorts_out_of_order_lines(tmp_path, vocab):
@@ -82,7 +80,7 @@ def test_parse_sorts_out_of_order_lines(tmp_path, vocab):
                rec("audio", "noise", 200, 400)]
     write_log(tmp_path / "log.jsonl", records)
     parsed = parse_event_log(tmp_path / "log.jsonl", vocab)
-    got = [(e.start, e.end) for e in parsed.streams[AUDIO]]
+    got = [(e.start, e.end) for e in events_of(parsed, vocab)[AUDIO]]
     assert got == sorted(got)  # independent sort oracle
 
 
@@ -108,7 +106,7 @@ def test_parse_remaps_unknown_location(tmp_path, vocab):
     write_log(tmp_path / "log.jsonl", [rec("location", "moon-base", 0, 10)])
     parsed = parse_event_log(tmp_path / "log.jsonl", vocab)
     assert parsed.remapped_locations == 1
-    assert parsed.streams[LOCATION][0].concept == OTHER_LOCATION
+    assert events_of(parsed, vocab)[LOCATION][0].concept == OTHER_LOCATION
 
 
 def test_parse_rejects_reversed_interval(tmp_path, vocab):
@@ -122,18 +120,18 @@ def test_parse_deduplicates_exact_records(tmp_path, vocab):
               [rec("audio", "voice", 0, 10), rec("audio", "voice", 0, 10)])
     parsed = parse_event_log(tmp_path / "log.jsonl", vocab)
     assert parsed.deduplicated == 1
-    assert len(parsed.streams[AUDIO]) == 1
+    assert len(events_of(parsed, vocab)[AUDIO]) == 1
 
 
 def test_parse_serialize_parse_identity(tmp_path, vocab):
     records = [rec("audio", "voice", 50, 99), rec("activity", "walking", 0, 30),
                rec("location", "dorm", 20, 70), rec("audio", "silence", 100, 130)]
     write_log(tmp_path / "a.jsonl", records)
-    first = parse_event_log(tmp_path / "a.jsonl", vocab)
-    write_event_log(tmp_path / "b.jsonl", first.streams)
-    second = parse_event_log(tmp_path / "b.jsonl", vocab)
-    assert first.streams == second.streams
-    write_event_log(tmp_path / "c.jsonl", second.streams)
+    first = events_of(parse_event_log(tmp_path / "a.jsonl", vocab), vocab)
+    write_event_log(tmp_path / "b.jsonl", first)
+    second = events_of(parse_event_log(tmp_path / "b.jsonl", vocab), vocab)
+    assert first == second
+    write_event_log(tmp_path / "c.jsonl", second)
     assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "c.jsonl").read_bytes()
 
 
@@ -141,17 +139,42 @@ def test_parse_serialize_parse_identity(tmp_path, vocab):
 # day slicing
 
 
-def test_slice_splits_straddling_event():
+def test_parse_rejects_a_key_given_twice(tmp_path, vocab):
+    """The last of two values used to win silently: this line parsed as one
+    `noise` event over 0-20."""
+    write_log(tmp_path / "log.jsonl", [rec("audio", "voice", 0, 10),
+                                       '{"stream": "audio", "concept": "voice", '
+                                       '"concept": "noise", "start": 0, "end": 10, "end": 20}'])
+    with pytest.raises(ParseError, match="line 3: .*'concept' appears twice"):
+        parse_event_log(tmp_path / "log.jsonl", vocab)
+
+
+def test_parse_rejects_a_line_nested_past_the_decoder(tmp_path, vocab):
+    """The decoder's RecursionError used to escape as a traceback."""
+    write_log(tmp_path / "log.jsonl", ["[" * 100000 + "]" * 100000])
+    with pytest.raises(ParseError, match="line 2: invalid JSON"):
+        parse_event_log(tmp_path / "log.jsonl", vocab)
+
+
+def test_parse_rejects_timestamps_past_the_column_range(tmp_path, vocab):
+    write_log(tmp_path / "log.jsonl", [rec("audio", "voice", -TIME_LIMIT, TIME_LIMIT)])
+    assert parse_event_log(tmp_path / "log.jsonl", vocab).start.tolist() == [-TIME_LIMIT]
+    for start, end in ((-TIME_LIMIT - 1, 0), (0, TIME_LIMIT + 1), (0, 10 ** 30)):
+        write_log(tmp_path / "log.jsonl", [rec("audio", "voice", start, end)])
+        with pytest.raises(ValidationError, match="line 2"):
+            parse_event_log(tmp_path / "log.jsonl", vocab)
+
+
+def test_slice_splits_straddling_event(vocab):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 23 * 3600, 25 * 3600)]}
-    d0 = one_day(streams)
-    d1 = one_day(streams, 1)
-    assert [e.seconds for e in d0.events(ACTIVITY)] == [3600]
-    assert [e.seconds for e in d1.events(ACTIVITY)] == [3600]
+    d0, d1 = cut_windows(streams, vocab, 0, 2)
+    assert [(e.end - e.start) for e in d0.events(ACTIVITY)] == [3600]
+    assert [(e.end - e.start) for e in d1.events(ACTIVITY)] == [3600]
 
 
-def test_slice_keeps_inside_events():
+def test_slice_keeps_inside_events(vocab):
     streams = {AUDIO: [ev(AUDIO, "voice", 100, 200), ev(AUDIO, "noise", 300, 500)]}
-    window = one_day(streams)
+    (window,) = cut_windows(streams, vocab, 0, 1)
     assert [(e.start, e.end) for e in window.events(AUDIO)] == [(100, 200), (300, 500)]
 
 
@@ -159,41 +182,44 @@ def test_slice_keeps_inside_events():
 @given(st.lists(st.tuples(st.integers(0, 4 * 86400 - 2), st.integers(1, 90000)),
                 min_size=1, max_size=20))
 def test_slicing_conserves_total_duration(raw):
-    events = [ev(AUDIO, "voice", s, s + d) for s, d in raw]
+    vocab = Vocabulary(locations=())
+    # Distinct events: the columns keep one of each repeated event.
+    events = list(dict.fromkeys(ev(AUDIO, "voice", s, s + d) for s, d in raw))
     streams = {AUDIO: events}
-    total = sum(e.seconds for e in events) / 3600.0
-    days = day_span(streams)
-    clipped = sum(sum(e.seconds for e in one_day(streams, d).events(AUDIO))
-                  for d in range(days)) / 3600.0
+    total = sum((e.end - e.start) for e in events) / 3600.0
+    days = ParsedLog.from_events(streams, vocab).day_span()
+    clipped = sum(sum((e.end - e.start) for e in w.events(AUDIO))
+                  for w in cut_windows(streams, vocab, 0, days)) / 3600.0
     assert abs(total - clipped) < 1e-9
 
 
+def test_day_span_never_negative(vocab):
+    log = ParsedLog.from_events({AUDIO: [ev(AUDIO, "voice", 100, 200)]}, vocab)
+    assert log.day_span(3 * SECONDS_PER_DAY) == 0
+    assert log.day_span(199) == 1
+    assert log.day_span(200) == 0
 
-def test_day_span_never_negative():
-    streams = {AUDIO: [ev(AUDIO, "voice", 100, 200)]}
-    assert day_span(streams, 3 * SECONDS_PER_DAY) == 0
-    assert day_span(streams, 199) == 1
-    assert day_span(streams, 200) == 0
 
-
-def test_day_windows_bounded_by_max_days():
-    assert len(day_windows({}, 0, MAX_DAYS)) == MAX_DAYS
+def test_day_windows_bounded_by_max_days(vocab):
+    empty = ParsedLog.from_events({}, vocab)
+    assert empty.cut(0, MAX_DAYS).day.size == 0
     with pytest.raises(ValidationError, match="day origin 0"):
-        day_windows({}, 0, MAX_DAYS + 1)
+        empty.cut(0, MAX_DAYS + 1)
 
 
-def test_day_windows_admit_unix_epoch_seconds():
+def test_day_windows_admit_unix_epoch_seconds(vocab):
     start = 1_760_000_000  # October 2025, in seconds since 1970
     streams = {AUDIO: [ev(AUDIO, "voice", start, start + 60)]}
-    days = day_span(streams)
-    window = day_windows(streams, 0, days)[-1]
+    log = ParsedLog.from_events(streams, vocab)
+    days = log.day_span()
     assert days == start // SECONDS_PER_DAY + 1
-    assert window.events(AUDIO) == streams[AUDIO]
+    pieces = log.cut(0, days)
+    assert pieces.day.tolist() == [days - 1]
+    assert pieces.start.tolist() == [start] and pieces.end.tolist() == [start + 60]
 
 
 def reference_window(streams, day_index: int, day_origin: int) -> DayWindow:
-    """The per-day clipping that `day_windows` replaced: one scan of every
-    stream for each day."""
+    """One scan of every stream for one day."""
     lo = day_origin + SECONDS_PER_DAY * day_index
     hi = lo + SECONDS_PER_DAY
     window = {}
@@ -218,6 +244,9 @@ LENGTHS = st.one_of(st.integers(1, 2 * SECONDS_PER_DAY),
                     st.integers(1, 60).map(lambda h: h * HOUR))
 ORIGINS = st.one_of(st.just(0), st.integers(-SECONDS_PER_DAY, SECONDS_PER_DAY),
                     st.integers(-24, 24).map(lambda h: h * HOUR))
+# Two concepts per stream, "x" and "y", whose names sort in that order.
+XY = {ACTIVITY: {"x": "running", "y": "walking"}, AUDIO: {"x": "noise", "y": "voice"},
+      LOCATION: {"x": "dorm", "y": "gym"}}
 
 
 @settings(max_examples=200, deadline=None)
@@ -231,11 +260,13 @@ ORIGINS = st.one_of(st.just(0), st.integers(-SECONDS_PER_DAY, SECONDS_PER_DAY),
               (LOCATION, "x", -5 * HOUR, 7 * HOUR)],       # starts before the origin
          origin=HOUR, extra=0)
 def test_day_windows_match_per_day_reference(raw, origin, extra):
+    vocab = Vocabulary(locations=("dorm", "gym"))
     streams = {s: [] for s in STREAMS}
-    for stream, concept, start, length in raw:
-        streams[stream].append(ev(stream, concept, start, start + length))
-    days = max(0, day_span(streams, origin) + extra)
-    windows = day_windows(streams, origin, days)
+    # Distinct events: the columns keep one of each repeated event.
+    for stream, concept, start, length in dict.fromkeys(raw):
+        streams[stream].append(ev(stream, XY[stream][concept], start, start + length))
+    days = max(0, ParsedLog.from_events(streams, vocab).day_span(origin) + extra)
+    windows = cut_windows(streams, vocab, origin, days)
     assert len(windows) == days
     for d, window in enumerate(windows):
         assert window == reference_window(streams, d, origin)
@@ -251,13 +282,13 @@ def hours(graph) -> dict[tuple[str, str], float]:
 def test_duration_additive(vocab):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 1800),
                           ev(ACTIVITY, "walking", 7200, 9000)]}
-    graph = build_local_graph(one_day(streams), vocab)
+    graph = day_graph(streams, vocab)
     assert hours(graph) == {(ACTIVITY, "walking"): 1.0}
 
 
 def test_duration_absent_concept_zero(vocab):
     streams = {ACTIVITY: [ev(ACTIVITY, "walking", 0, 1800)]}
-    graph = build_local_graph(one_day(streams), vocab)
+    graph = day_graph(streams, vocab)
     assert (AUDIO, "voice") not in hours(graph)
 
 
@@ -268,7 +299,7 @@ def test_duration_matches_per_second_oracle(vocab):
         start = int(rng.integers(0, 80000))
         events.append(ev(AUDIO, str(rng.choice(["voice", "silence"])),
                          start, start + int(rng.integers(1, 5000))))
-    graph = build_local_graph(one_day({AUDIO: events}), vocab)
+    graph = day_graph({AUDIO: events}, vocab)
     for concept in ("voice", "silence"):
         per_second = sum(
             max(0, min(e.end, 86400) - max(e.start, 0))
@@ -301,8 +332,8 @@ def test_behavior_feature_cross_checks_duration(vocab):
     window = one_day(streams)
     feat = behavior_feature(window, vocab)
     slots = {vocab.feature_index(s, c): h
-             for (s, c), h in hours(build_local_graph(window, vocab)).items()}
-    assert sum(e.seconds for e in streams[AUDIO]) / 3600.0 != slots[
+             for (s, c), h in hours(day_graph(streams, vocab)).items()}
+    assert sum((e.end - e.start) for e in streams[AUDIO]) / 3600.0 != slots[
         vocab.feature_index(AUDIO, "voice")]
     for slot, value in enumerate(feat):
         assert value == slots.get(slot, 0.0)
@@ -313,6 +344,8 @@ def test_behavior_feature_invariant_to_event_order(tmp_path, vocab):
                rec("activity", "walking", 2000, 2600), rec("audio", "silence", 600, 900)]
     write_log(tmp_path / "a.jsonl", records)
     write_log(tmp_path / "b.jsonl", records[::-1])
-    fa = behavior_feature(one_day(parse_event_log(tmp_path / "a.jsonl", vocab).streams), vocab)
-    fb = behavior_feature(one_day(parse_event_log(tmp_path / "b.jsonl", vocab).streams), vocab)
+    fa = behavior_feature(one_day(events_of(parse_event_log(tmp_path / "a.jsonl", vocab),
+                                            vocab)), vocab)
+    fb = behavior_feature(one_day(events_of(parse_event_log(tmp_path / "b.jsonl", vocab),
+                                            vocab)), vocab)
     assert np.array_equal(fa, fb)

@@ -11,7 +11,7 @@ from lgbg.streams import parse_event_log, write_event_log
 from lgbg.synth import MECHANISMS, VOCAB, ScenarioSpec, generate, subject_events
 from lgbg.training import run_protocol
 
-from conftest import events_dataset, one_day
+from conftest import events_dataset, events_of, one_day
 from reference import behavior_feature, oracle_label
 
 
@@ -47,7 +47,7 @@ def test_generated_logs_pass_parse_validation(tmp_path):
         ((_, streams, _, _),) = subject_events(spec)
         write_event_log(tmp_path / "log.jsonl", streams)
         parsed = parse_event_log(tmp_path / "log.jsonl", VOCAB)
-        assert parsed.streams == streams
+        assert events_of(parsed, VOCAB) == streams
         assert parsed.remapped_locations == 0
 
 

@@ -13,13 +13,13 @@ from lgbg.errors import NumericError, ValidationError
 from lgbg.metrics import (average_reports, classification_report, grade_report,
                           knn_regress_loo)
 from lgbg.model import Model
-from lgbg.streams import LOCATION, SECONDS_PER_DAY, day_span, day_windows, sort_events
+from lgbg.streams import LOCATION, SECONDS_PER_DAY, sort_events
 from lgbg.synth import VOCAB, ScenarioSpec, generate, subject_events
 from lgbg.training import (cross_entropy, evaluate, grade_regression,
                            node_variance_loss, split_protocol, total_loss, train)
 
 from conftest import ev, events_dataset
-from reference import behavior_feature
+from reference import behavior_feature, day_span, day_windows
 
 
 def tiny_dataset(mechanism="combined", subjects=3, days=6, seed=5,
