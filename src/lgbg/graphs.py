@@ -124,8 +124,10 @@ class LocalContextGraph:
         order = sorted(range(len(nodes)), key=lambda i: (nodes[i].stream, nodes[i].concept))
         rank = np.empty(len(nodes), dtype=np.intp)
         rank[order] = np.arange(len(nodes))
-        src = rank[np.array([e.src for e in edges], dtype=np.intp)]
-        dst = rank[np.array([e.dst for e in edges], dtype=np.intp)]
+        ends = np.array([(e.src, e.dst) for e in edges], dtype=np.intp).reshape(-1, 2)
+        if ((ends < 0) | (ends >= len(nodes))).any():
+            raise ValidationError(f"an edge end is outside nodes 0..{len(nodes) - 1}")
+        src, dst = rank[ends[:, 0]], rank[ends[:, 1]]
         by_row = np.lexsort((dst, src))
         self._set(day_index,
                   NodeKeys(tuple((nodes[i].stream, nodes[i].concept) for i in order),
@@ -237,29 +239,6 @@ class GlobalSample:
             raise ValidationError(f"label {self.label} outside 0..{N_CLASSES - 1}")
 
 
-# Every sort here is numpy's stable sort, which the forward also uses
-# (`gnn.batch_graphs`). The default sort and `np.unique` run other sort code,
-# whose pages raised the peak resident memory of `benchmarks/run.py`'s
-# `train_combined` by 1.7 MiB.
-
-
-def _sorted(values: np.ndarray) -> np.ndarray:
-    return values[np.argsort(values, kind="stable")]
-
-
-def _distinct(values: np.ndarray):
-    """What `np.unique(values, return_inverse=True, return_counts=True)`
-    gives: the distinct values, ascending, each entry's position among them
-    and the count of each."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    first = np.ones(values.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(values.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse, np.diff(np.append(np.flatnonzero(first), values.size))
-
-
 # Pieces counted at once, in runs of whole days: a bound on the count's
 # working memory, which grows with pieces times the concepts of their day.
 _BLOCK = 1 << 10
@@ -274,7 +253,8 @@ def _count(p: DayPieces):
     (src, dst) order.
     """
     n_keys = int(p.key.max()) + 1 if p.key.size else 1
-    codes, node, pieces = _distinct(p.day * n_keys + p.key)
+    codes, node, pieces = np.unique(p.day * n_keys + p.key, return_inverse=True,
+                                    return_counts=True)
     n = codes.size
     node_day = codes // n_keys
     hours = np.bincount(node, weights=(p.end - p.start) / 3600.0, minlength=n)
@@ -284,7 +264,7 @@ def _count(p: DayPieces):
     # Transitions: consecutive pieces of one day and stream, concepts differing.
     step = ((p.day[1:] == p.day[:-1]) & (p.stream[1:] == p.stream[:-1])
             & (p.key[1:] != p.key[:-1]))
-    moves, _, counts = _distinct(node[:-1][step] * n + node[1:][step])
+    moves, counts = np.unique(node[:-1][step] * n + node[1:][step], return_counts=True)
 
     # Overlaps: each node u against each node v of a later stream of its day.
     # The pieces of v that overlap a piece of u are #(v's starts before its
@@ -293,7 +273,7 @@ def _count(p: DayPieces):
     base = p.start.min(initial=0)
     start, end = p.start - base, p.end - base
     span = int(end.max(initial=0)) + 1
-    starts, ends = _sorted(node * span + start), _sorted(node * span + end)
+    starts, ends = np.sort(node * span + start), np.sort(node * span + end)
     offset = np.cumsum(pieces) - pieces
     block = node_day * len(STREAMS) + stream
     later = np.searchsorted(block, block, side="right")
@@ -344,7 +324,7 @@ def _run_graphs(p: DayPieces, keys: NodeKeys) -> list[LocalContextGraph]:
     node_day, key, hours, src, dst, kind, weight = _count(p)
     first = np.searchsorted(node_day, node_day)
     src, dst, edge_day = src - first[src], dst - first[src], node_day[src]
-    present = _distinct(node_day)[0]
+    present = np.unique(node_day)
     return [LocalContextGraph.from_columns(
                 d, keys, key[a:b].copy(), hours[a:b].copy(), src[c:e].copy(),
                 dst[c:e].copy(), kind[c:e].copy(), weight[c:e].copy())

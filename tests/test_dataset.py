@@ -18,7 +18,7 @@ from lgbg.embeddings import EmbeddingTable
 from lgbg.errors import EmbeddingError
 from lgbg.metrics import knn_regress_loo
 from lgbg.model import Model
-from lgbg.streams import AUDIO, SECONDS_PER_DAY, ParsedLog, parse_event_log
+from lgbg.streams import AUDIO, LOCATION, SECONDS_PER_DAY, ParsedLog, parse_event_log
 from lgbg.synth import VOCAB, ScenarioSpec, subject_events
 from lgbg.training import grade_regression
 
@@ -125,15 +125,27 @@ def test_eval_checkpoint_with_reordered_or_short_table_exits_2(written, tmp_path
     assert err.startswith(want) and err.count("\n") == 1, err
 
 
+def _dense_cohort(subjects: int, days: int, per_day: int):
+    """Subjects whose days hold many short events over two concepts per
+    stream: their parsed logs grow with the events, their day graphs only
+    with the concepts, so the logs outweigh the graphs."""
+    for idx in range(subjects):
+        streams = {AUDIO: [], LOCATION: []}
+        for day in range(days):
+            for i in range(per_day):
+                start = day * SECONDS_PER_DAY + 60 * i + idx
+                streams[AUDIO].append(ev(AUDIO, ("voice", "noise")[i % 2], start, start + 50))
+                streams[LOCATION].append(ev(LOCATION, ("library", "cafe")[i % 3 // 2],
+                                            start + 20, start + 70))
+        yield f"s{idx:03d}", streams, {d: d % 4 for d in range(days)}, None
+
+
 def test_load_peak_stays_below_the_parsed_events(tmp_path):
     """The dataset keeps day graphs and drops each subject's parsed log once
-    its graphs are built: no record holds a log, and the load's peak over
-    what the dataset keeps stays below what all the parsed logs hold
-    together, so it never holds them all at once. (The columns of a parsed
-    log are now smaller than its graphs, so the peak itself is not.)"""
+    its graphs are built, so loading never holds every subject's parsed log
+    at once, and no record holds a log."""
     root = tmp_path / "data"
-    write_dataset(root, VOCAB, subject_events(ScenarioSpec(mechanism="combined",
-                                                           subjects=16, days=4, seed=4)))
+    write_dataset(root, VOCAB, _dense_cohort(subjects=16, days=2, per_day=600))
     vocab = load_dataset(root).vocab
     tracemalloc.start()
     try:
@@ -143,13 +155,13 @@ def test_load_peak_stays_below_the_parsed_events(tmp_path):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         data = load_dataset(root)
-        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert len(data.subjects) == 16
     assert not any(isinstance(v, ParsedLog) for rec in data.subjects
                    for v in vars(rec).values())
-    assert peak - kept < held, (peak, kept, held)
+    assert peak < held, (peak, held)
 
 
 def test_grade_of_loaded_dataset_equals_grade_of_generated(tmp_path, monkeypatch):

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgbg.errors import ValidationError
-from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GraphArrays, LocalContextGraph,
-                         NodeKeys, build_days, heterogeneous_edges, homogeneous_edges,
-                         quantize_pam)
+from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GraphArrays, GraphEdge, GraphNode,
+                         LocalContextGraph, NodeKeys, build_days, heterogeneous_edges,
+                         homogeneous_edges, quantize_pam)
 from lgbg.streams import (ACTIVITY, AUDIO, LOCATION, SECONDS_PER_DAY, STREAMS, Vocabulary,
                           parse_event_log)
 
@@ -134,6 +134,13 @@ def test_single_event_graph(vocab):
     assert len(graph.nodes) == 1
     assert graph.nodes[0].attribute == 1.5
     assert graph.edges == []
+
+
+@pytest.mark.parametrize("src,dst", [(-1, 0), (0, 2)])
+def test_graph_from_objects_rejects_an_edge_end_outside_its_nodes(src, dst):
+    nodes = [GraphNode(AUDIO, c, 1.0, 0) for c in ("voice", "noise")]
+    with pytest.raises(ValidationError, match="edge end"):
+        LocalContextGraph(0, nodes, [GraphEdge(src, dst, HOMOGENEOUS, 1)])
 
 
 def scripted_day():
