@@ -115,8 +115,9 @@ def cmd_build_graph(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     config, _ = _config_and_given(args)
     parsed = parse_event_log(args.log, vocab)
-    # Day files hold no vectors, but a bad --embeddings file still exits 2.
-    _table_for(args, vocab, config)
+    if args.embeddings:
+        # Day files hold no vectors, but a bad --embeddings file still exits 2.
+        _table_for(args, vocab, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # graphs.json is written last and marks a complete build, so a rebuild

@@ -24,11 +24,12 @@ zero-row arrays. A batch has one `GraphReadout`, its rows spanning every graph;
 taking its node and edge names from the graph itself, so the forward
 builds no names.
 
-Node order, edge indices and edge weights come from each graph's own
-`arrays` (see `graphs.GraphArrays`), which this module only reads. Each
-forward gathers the initial states from the embedding table it is given and
-applies the ablation flags itself: a disabled kind's edges leave the batch,
-for aggregation, edge embedding and structural pooling alike.
+Node order, edge indices, kinds (positions in `graphs.KINDS`) and edge
+weights come from each graph's own `arrays` (see `graphs.GraphArrays`),
+which this module only reads. Each forward gathers the initial states from
+the embedding table it is given and applies the ablation flags itself: a
+disabled kind's edges leave the batch, for aggregation, edge embedding and
+structural pooling alike.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .autograd import Tensor
 from .config import TrainConfig
 from .embeddings import EmbeddingTable
 from .errors import DimensionError, NumericError, ValidationError
-from .graphs import HETEROGENEOUS, HOMOGENEOUS, GraphArrays, LocalContextGraph
+from .graphs import HETEROGENEOUS, HOMOGENEOUS, KINDS, GraphArrays, LocalContextGraph
 from .streams import STREAMS
 
 _WEIGHT = {HOMOGENEOUS: "homo", HETEROGENEOUS: "het"}  # each kind's weight in a layer
@@ -103,9 +104,8 @@ class GraphBatch:
 
 def batch_graphs(parts: Sequence[GraphArrays], config: TrainConfig) -> GraphBatch:
     """Stack the index forms of one or more non-empty day graphs."""
-    dropped = tuple(kind for kind, on in ((HOMOGENEOUS, config.use_homogeneous),
-                                          (HETEROGENEOUS, config.use_heterogeneous))
-                    if not on)
+    on = {HOMOGENEOUS: config.use_homogeneous, HETEROGENEOUS: config.use_heterogeneous}
+    kept = np.array([on[k] for k in KINDS])
     sizes = [a.n for a in parts]
     start = np.cumsum([0] + sizes)
     stream = np.concatenate([a.stream_index for a in parts])
@@ -121,16 +121,16 @@ def batch_graphs(parts: Sequence[GraphArrays], config: TrainConfig) -> GraphBatc
     dst = row[np.concatenate([a.dst_idx for a in parts]) + start[edge_graph]]
     kind = np.concatenate([a.edge_kind for a in parts])
     weight = np.concatenate([a.edge_weight for a in parts])
-    if dropped:
-        keep = ~np.isin(kind, dropped)
+    if not kept.all():
+        keep = kept[kind]
         src, dst, kind, weight, edge_graph = (
             src[keep], dst[keep], kind[keep], weight[keep], edge_graph[keep])
 
     messages = {}
-    for k in (HOMOGENEOUS, HETEROGENEOUS):
+    for k, name in enumerate(KINDS):
         sel = kind == k
         if sel.any():
-            messages[k] = Messages(src[sel], dst[sel], weight[sel])
+            messages[name] = Messages(src[sel], dst[sel], weight[sel])
     return GraphBatch(
         n_graphs=len(parts), n=int(start[-1]),
         embedding_index=np.concatenate([a.embedding_index for a in parts])[order],
@@ -263,9 +263,9 @@ class GraphReadout:
         nodes = [{"stream": s, "concept": c}
                  for s, c in sorted((nd.stream, nd.concept) for nd in graph.nodes)]
         a = graph.arrays
-        edges = [{"src": dict(nodes[s]), "dst": dict(nodes[t]), "kind": str(kind)}
-                 for s, t, kind in zip(a.src_idx, a.dst_idx, a.edge_kind)
-                 if kind in self.batch.messages]
+        edges = [{"src": dict(nodes[s]), "dst": dict(nodes[t]), "kind": KINDS[kind]}
+                 for s, t, kind in zip(a.src_idx, a.dst_idx, a.edge_kind.tolist())
+                 if KINDS[kind] in self.batch.messages]
         lo, hi = np.searchsorted(self.batch.edge_graph, [k, k + 1])
         return {"nodes": nodes,
                 "node_attention": self.node_attention[self.batch.graph_rows[k]].tolist(),

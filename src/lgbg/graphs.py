@@ -78,7 +78,7 @@ class GraphArrays:
     stream_index: np.ndarray                    # position of each node's stream in STREAMS
     src_idx: np.ndarray
     dst_idx: np.ndarray
-    edge_kind: np.ndarray
+    edge_kind: np.ndarray                       # position of each edge's kind in KINDS
     edge_weight: np.ndarray
 
 
@@ -177,14 +177,12 @@ class LocalContextGraph:
         # Each edge's destination total of its kind, summed over 2 * dst + kind.
         into = 2 * self.dst + self.kind
         totals = np.bincount(into, weights=weight, minlength=2 * n)[into]
-        # As `np.array(names, dtype=str)` types them: no wider than the longest.
-        kinds = KINDS[:int(self.kind.max()) + 1] if self.kind.size else ()
         return GraphArrays(
             n=n, embedding_index=self.keys.rows[self.key],
             day_fraction=self.hours[:, None] / 24.0,
             stream_index=self.keys.stream_index[self.key],
             src_idx=self.src, dst_idx=self.dst,
-            edge_kind=np.array(kinds, dtype=str)[self.kind],
+            edge_kind=self.kind,
             edge_weight=np.divide(weight, totals, out=np.zeros_like(weight),
                                   where=totals > 0))
 

@@ -4,15 +4,17 @@ digest and embedding table. Checkpoints are read through `lgbg.schema`:
 `config`, `embeddings` and `params` must be objects, and every stored array
 must be finite and fit the shape the config gives it.
 
-Every caller forwards through `Model.forward_batch`: the distinct non-empty
-day graphs of a batch of samples go through the graph network together, as
-one disjoint union, and each sample's span of day representations then goes
-through temporal attention and the classifier. A batch has one output, a
-`BatchOutput` of matrices with one row per sample; a sample's
+A forward has two halves. The distinct non-empty day graphs of its samples
+go through the graph network as disjoint unions, and give a day table: one
+row of day representation per graph, then the empty day's row. Each
+sample's span of rows of that table then goes through temporal attention
+and the classifier. `Model.forward_batch` runs both halves on one batch,
+with one union; training, the loss, `inspect` and `gradcheck` call it. Its
+output is a `BatchOutput` of matrices with one row per sample; a sample's
 `SampleOutput` is a view of one row of it and records no op of its own.
-Training forwards one training batch at a time; untaped callers use
-`forward_all`, which forwards `batch_size` samples at a time, so a union
-never holds more than one batch.
+Untaped callers use `forward_all`, which forwards each distinct day of all
+its samples once, in unions of at most `_UNION` graphs, and runs the spans
+in chunks of at most `_SPANS` samples, whatever `batch_size` is.
 """
 
 from __future__ import annotations
@@ -29,12 +31,28 @@ from .config import TrainConfig, config_from_dict
 from .embeddings import EmbeddingTable
 from .errors import ParseError, ValidationError
 from .gnn import GnnParams, GraphReadout, graph_forward
-from .graphs import GlobalSample
+from .graphs import GlobalSample, LocalContextGraph
 from .schema import read_json, require, require_array, write_text
 from .streams import Vocabulary
 from .temporal import TemporalParams, classify, span_attention
 
 CHECKPOINT_FORMAT = 1
+
+# Graphs per union and samples per span chunk of `Model.forward_all`, which
+# bound its working memory. Unions of 64 ran the frozen eval faster than 48
+# or 128; chunks of 64 kept its traced peak below the 256-sample chunks'.
+_UNION = 64
+_SPANS = 64
+
+
+def _distinct_days(samples: Sequence[GlobalSample]
+                   ) -> tuple[list[LocalContextGraph], list[list[int]]]:
+    """The distinct non-empty day graphs of `samples` (by identity), in order
+    of first use, and each sample's days as positions there; -1 is empty."""
+    graphs = list({id(g): g for s in samples for g in s.graphs
+                   if not g.is_empty()}.values())
+    index = {id(g): k for k, g in enumerate(graphs)}
+    return graphs, [[index.get(id(g), -1) for g in s.graphs] for s in samples]
 
 
 @dataclass(frozen=True)
@@ -43,14 +61,16 @@ class BatchOutput:
 
     probs: Tensor                     # n x 4 class probabilities
     g_star: np.ndarray                # n x dp pooled representations
-    readout: GraphReadout | None      # the union of the non-empty days
-    days: list[list[int]]             # each sample's days as readout graphs; -1 is empty
+    readout: GraphReadout | None      # the union of the non-empty days; None from forward_all
+    days: list[list[int]]             # each sample's days as day table rows; -1 is empty
     day_attention: list[np.ndarray]   # each sample's T x T attention
 
 
 @dataclass(frozen=True)
 class SampleOutput:
-    """Row `index` of a batch's output, read on access."""
+    """Row `index` of a batch's output, read on access. Node rows and the
+    attention export read the batch's readout, which only `forward_batch`
+    keeps."""
 
     batch: BatchOutput
     index: int
@@ -109,32 +129,40 @@ class Model:
         """One output per sample, each a view of one row of the batch's. Each
         distinct day graph (by identity) is forwarded once, all in one union,
         and every span through temporal attention and the classifier together."""
-        graphs = list({id(g): g for s in samples for g in s.graphs
-                       if not g.is_empty()}.values())
-        index = {id(g): k for k, g in enumerate(graphs)}
-        days = [[index.get(id(g), -1) for g in s.graphs] for s in samples]
-        readout = None
-        day_table = ag.stack_rows([self.gnn.empty_day])
-        if graphs:
-            readout = graph_forward(graphs, self.table, self.gnn, self.config)
-            day_table = ag.concat([readout.rep, day_table], axis=0)
-        # Row k of day_table is graph k's; the last row, for -1, is the empty day.
-        rows = np.concatenate(days) % (len(graphs) + 1)
-        g_star, attention = span_attention(ag.gather_rows(day_table, rows),
-                                           [len(d) for d in days], self.temporal,
-                                           self.config)
-        out = BatchOutput(probs=classify(g_star, self.temporal), g_star=g_star.data,
-                          readout=readout, days=days, day_attention=attention)
+        graphs, days = _distinct_days(samples)
+        readout = graph_forward(graphs, self.table, self.gnn, self.config) if graphs else None
+        out = self._spans(self._day_table([readout.rep] if readout else []), days, readout)
         return [SampleOutput(out, b) for b in range(len(samples))]
 
     def forward(self, sample: GlobalSample) -> SampleOutput:
         return self.forward_batch([sample])[0]
 
     def forward_all(self, samples: Sequence[GlobalSample]) -> Iterator[SampleOutput]:
-        """Outputs of any number of samples, forwarded `batch_size` at a time."""
-        step = self.config.batch_size
-        for lo in range(0, len(samples), step):
-            yield from self.forward_batch(samples[lo:lo + step])
+        """Outputs of any number of samples, in order, holding no readout.
+        Each distinct day graph is forwarded once, in unions of `_UNION`
+        graphs, and the spans in chunks of `_SPANS` samples."""
+        graphs, days = _distinct_days(samples)
+        table = self._day_table([
+            graph_forward(graphs[lo:lo + _UNION], self.table, self.gnn, self.config).rep
+            for lo in range(0, len(graphs), _UNION)])
+        for lo in range(0, len(samples), _SPANS):
+            out = self._spans(table, days[lo:lo + _SPANS], None)
+            yield from (SampleOutput(out, b) for b in range(len(out.days)))
+
+    def _day_table(self, reps: list[Tensor]) -> Tensor:
+        """The rows of `reps`, then the empty day's."""
+        return ag.concat([*reps, ag.stack_rows([self.gnn.empty_day])], axis=0)
+
+    def _spans(self, table: Tensor, days: list[list[int]],
+               readout: GraphReadout | None) -> BatchOutput:
+        """Temporal attention and the classifier over spans of `table`'s rows;
+        `days` lists each span's rows, -1 for the last row."""
+        rows = np.concatenate(days) % table.data.shape[0]
+        g_star, attention = span_attention(ag.gather_rows(table, rows),
+                                           [len(d) for d in days], self.temporal,
+                                           self.config)
+        return BatchOutput(probs=classify(g_star, self.temporal), g_star=g_star.data,
+                           readout=readout, days=days, day_attention=attention)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.named_parameters().items()}

@@ -96,7 +96,7 @@ def _batch_eval(model: Model, samples: list[GlobalSample]) -> tuple[float, float
     """(mean cross-entropy, accuracy) without gradient recording."""
     outputs = list(model.forward_all(samples))
     labels = [s.label for s in samples]
-    # forward_all's outputs run batch by batch, so the join is in sample order.
+    # forward_all's outputs run chunk by chunk, so the join is in sample order.
     loss = cross_entropy(_joined(outputs, lambda b: b.probs)[0], labels).item()
     correct = sum(int(o.predicted() == label) for o, label in zip(outputs, labels))
     return loss, correct / len(samples)
@@ -219,16 +219,25 @@ def run_protocol(samples: list[GlobalSample], config: TrainConfig,
                  model: Model | None = None) -> ProtocolResult:
     """Train on k-1 splits and test on the held-out one, for every split.
 
-    Given a frozen `model`, test it on every split and train nothing; the
+    Given a frozen `model`, test it on every split and train nothing: its
+    prediction of a sample is the same in every split, so every sample is
+    forwarded once, in order, and neighbouring spans share their days. The
     splits are the same, drawn from `config.splits` and `config.seed`.
     """
     tasks = split_protocol(len(samples), config.splits, config.seed)
+    if model is not None:
+        predicted = [out.predicted() for out in model.forward_all(samples)]
     reports = []
     for i, (train_ids, test_ids) in enumerate(tasks):
-        fitted = model or train([samples[j] for j in train_ids], config, table,
-                                vocab_digest).model
-        reports.append(evaluate(fitted, [samples[j] for j in test_ids],
-                                task=f"task-{i + 1}"))
+        task = f"task-{i + 1}"
+        if model is None:
+            fitted = train([samples[j] for j in train_ids], config, table,
+                           vocab_digest).model
+            reports.append(evaluate(fitted, [samples[j] for j in test_ids], task=task))
+        else:
+            reports.append(classification_report([samples[j].label for j in test_ids],
+                                                 [predicted[j] for j in test_ids],
+                                                 task=task))
     return ProtocolResult(reports=reports, average=average_reports(reports))
 
 

@@ -229,7 +229,7 @@ def graph_arrays(graph: ReferenceGraph) -> GraphArrays:
         day_fraction=np.array([nd.attribute for nd in nodes])[:, None] / 24.0,
         stream_index=np.array([STREAMS.index(nd.stream) for nd in nodes], dtype=np.intp),
         src_idx=src, dst_idx=dst,
-        edge_kind=np.array([e.kind for e in edges], dtype=str),
+        edge_kind=heterogeneous,
         edge_weight=np.divide(weight, totals, out=np.zeros_like(weight),
                               where=totals > 0))
 

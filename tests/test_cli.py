@@ -57,6 +57,15 @@ def test_build_graph_golden_dump(tmp_path):
     assert index["samples"] == []  # one day cannot fill a 3-day span
 
 
+def test_build_graph_makes_no_embedding_table_unless_given_one(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build-graph made a fallback embedding table")
+
+    monkeypatch.setattr(EmbeddingTable, "fallback", refuse)
+    assert main(["build-graph", "--log", str(DATA / "toy_log.jsonl"),
+                 "--vocab", str(DATA / "toy_vocab.json"), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_build_graph_missing_vocab_exit_2(tmp_path, capsys):
     code = main(["build-graph", "--log", str(DATA / "toy_log.jsonl"),
                  "--vocab", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])

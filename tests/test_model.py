@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from lgbg import autograd as ag
+from lgbg import model as model_module
 from lgbg.config import TrainConfig
 from lgbg.embeddings import EmbeddingTable
 from lgbg.errors import NumericError, ValidationError
-from lgbg.gnn import (GnnParams, batch_graphs, edge_embeddings, initial_states,
-                      local_graph_forward, message_passing_layer, semantic_pool,
-                      structural_pool)
+from lgbg.gnn import (GnnParams, batch_graphs, edge_embeddings, graph_forward,
+                      initial_states, local_graph_forward, message_passing_layer,
+                      semantic_pool, structural_pool)
 from lgbg.graphs import (HETEROGENEOUS, HOMOGENEOUS, GlobalSample, GraphEdge,
                          LocalContextGraph)
 from lgbg.model import Model
 from lgbg.streams import ACTIVITY, AUDIO, LOCATION
+from lgbg.synth import ScenarioSpec, generate
 from lgbg.temporal import span_attention
-from lgbg.training import node_variance_loss
+from lgbg.training import evaluate, node_variance_loss, run_protocol, split_protocol
 
 from conftest import day_graph, ev
 from reference import rows, tanh, total, vector
@@ -592,3 +594,83 @@ def test_node_variance_counts_a_shared_day_once_per_sample(vocab, small_table,
     centered = rows - rows.mean(axis=0)
     want = -1.0 / (1.0 + np.exp(-(centered ** 2).mean(axis=0).mean()))
     assert abs(got - want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# frozen forward over day unions
+
+
+def cohort_samples(config):
+    """Samples of 10 generated subjects of 14 days: well over two unions of
+    distinct non-empty days."""
+    dataset = generate(ScenarioSpec(mechanism="combined", subjects=10, days=14, seed=4))
+    table = EmbeddingTable.fallback(dataset.vocab, config.d, config.seed)
+    return dataset.samples(config.span, table), table
+
+
+def record_unions(monkeypatch) -> list[list[int]]:
+    """Wrap the model's `graph_forward`; the list gets the graphs (by
+    identity) of each union it forwards."""
+    unions = []
+
+    def recording(graphs, *args):
+        unions.append([id(g) for g in graphs])
+        return graph_forward(graphs, *args)
+
+    monkeypatch.setattr(model_module, "graph_forward", recording)
+    return unions
+
+
+def distinct_days(samples) -> list[int]:
+    return sorted({id(g) for s in samples for g in s.graphs if not g.is_empty()})
+
+
+def test_forward_all_forwards_each_distinct_day_once(small_config, monkeypatch):
+    samples, table = cohort_samples(small_config)
+    model = Model(small_config, table, "")
+    unions = record_unions(monkeypatch)
+    outs = list(model.forward_all(samples))
+    assert len(outs) == len(samples)
+    assert sorted(g for union in unions for g in union) == distinct_days(samples)
+    assert len(unions) >= 3
+    assert max(len(union) for union in unions) <= model_module._UNION
+
+
+@pytest.mark.parametrize("flags", [{}, {"use_homogeneous": False},
+                                   {"use_heterogeneous": False},
+                                   {"use_homogeneous": False, "use_heterogeneous": False},
+                                   {"linear_layers": True}])
+@pytest.mark.parametrize("spans", [None, 7])
+def test_forward_all_agrees_with_forward(small_config, monkeypatch, flags, spans):
+    config = small_config.replace(**flags)
+    samples, table = cohort_samples(config)
+    if spans is not None:             # span chunks that end mid-subject
+        monkeypatch.setattr(model_module, "_SPANS", spans)
+    model = Model(config, table, "")
+    outs = list(model.forward_all(samples))
+    assert len(outs) == len(samples)
+    for s, out in zip(samples, outs):
+        want = model.forward(s)
+        assert np.max(np.abs(out.probs.data - want.probs.data)) <= 1e-12
+        assert np.max(np.abs(out.g_star - want.g_star)) <= 1e-12
+        assert np.max(np.abs(out.day_attention - want.day_attention)) <= 1e-12
+        assert out.predicted() == want.predicted()
+
+
+def test_forward_all_of_no_samples_yields_nothing(small_table, small_config, monkeypatch):
+    unions = record_unions(monkeypatch)
+    assert list(Model(small_config, small_table, "").forward_all([])) == []
+    assert unions == []
+
+
+def test_frozen_protocol_forwards_each_day_once(small_config, monkeypatch):
+    config = small_config.replace(splits=4)
+    samples, table = cohort_samples(config)
+    model = Model(config, table, "")
+    unions = record_unions(monkeypatch)
+    result = run_protocol(samples, config, table, model=model)
+    assert sorted(g for union in unions for g in union) == distinct_days(samples)
+    splits = split_protocol(len(samples), config.splits, config.seed)
+    assert result.reports == [
+        evaluate(model, [samples[j] for j in test], task=f"task-{i + 1}")
+        for i, (_, test) in enumerate(splits)]
